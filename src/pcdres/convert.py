@@ -23,6 +23,7 @@ and :func:`check_witness` replays the defining equation.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ from .finset import (
     relation_from_dict,
     relation_to_dict,
 )
-from .profiles import Profile, gamma_profile, phi_profile, realize_profile
+from .profiles import Profile, fiber_sizes, gamma_profile, phi_profile, realize_profile
 
 
 class NotConvertibleError(ValueError):
@@ -125,46 +126,69 @@ def representative(variant: TheoryVariant, form: Profile) -> FinFun:
     return realize_profile(Profile(multiplicities))
 
 
+def _order_by_fiber_size(sizes: list[int], descending: bool) -> list[int]:
+    """Codomain points by fiber size, ties by lowest index (a counting sort)."""
+    buckets: list[list[int]] = [[] for _ in range(max(sizes, default=0) + 1)]
+    for y, size in enumerate(sizes):
+        buckets[size].append(y)
+    if descending:
+        buckets.reverse()
+    return [y for bucket in buckets for y in bucket]
+
+
 def _match_fibers(
-    F: FinFun, G: FinFun, descending: bool
-) -> tuple[list[int], list[int]]:
+    f_sizes: list[int], g_sizes: list[int], descending: bool
+) -> list[int]:
     """Pair codomain points of ``F`` and ``G`` fiber by fiber.
 
-    Returns (xi2_map, preimage pools) where xi2_map sends each codomain point
-    of ``F`` to its partner in ``G``.  Ordering is by fiber size (ties by
-    lowest index) so the pairing is deterministic.
+    Takes the fiber sizes of both and returns ``xi2_map``, which sends each
+    codomain point of ``F`` to its partner in ``G``.  Ordering is by fiber
+    size (ties by lowest index) so the pairing is deterministic.
     """
-    f_sizes = [0] * F.cod.size
-    for y in F.map:
-        f_sizes[y] += 1
-    g_sizes = [0] * G.cod.size
-    for b in G.map:
-        g_sizes[b] += 1
-    sign = -1 if descending else 1
-    f_order = sorted(range(F.cod.size), key=lambda y: (sign * f_sizes[y], y))
-    g_order = sorted(range(G.cod.size), key=lambda b: (sign * g_sizes[b], b))
-    xi2_map = [0] * F.cod.size
+    xi2_map = [0] * len(f_sizes)
+    f_order = _order_by_fiber_size(f_sizes, descending)
+    g_order = _order_by_fiber_size(g_sizes, descending)
     for y, b in zip(f_order, g_order):
-        assert (f_sizes[y] == g_sizes[b]) if not descending else (f_sizes[y] >= g_sizes[b])
         xi2_map[y] = b
-    return xi2_map, f_sizes
+    return xi2_map
 
 
-def _route_inputs(F: FinFun, G: FinFun, xi2_map: list[int]) -> list[int]:
+def _route_inputs(
+    F: FinFun, G: FinFun, f_sizes: list[int], xi2_map: list[int]
+) -> list[int]:
     """Pick ``xi1`` sending each input of ``G`` into the matched fiber of ``F``.
 
     Within a fiber the least not-yet-used preimage is taken, so the result is
     deterministic and injective.
     """
-    xi2_inverse = {b: y for y, b in enumerate(xi2_map)}
-    pools: dict[int, list[int]] = {y: [] for y in range(F.cod.size)}
-    for x in range(F.dom.size - 1, -1, -1):
-        pools[F.map[x]].append(x)  # reversed, so pop() yields ascending order
+    # stable counting sort of F's domain by fiber: the preimages of y, in
+    # ascending order, start at by_fiber[next_free[y]]
+    next_free = list(itertools.accumulate(f_sizes, initial=0))
+    cursor = next_free.copy()
+    by_fiber = [0] * F.dom.size
+    for x, y in enumerate(F.map):
+        by_fiber[cursor[y]] = x
+        cursor[y] += 1
+    xi2_inverse = [0] * len(xi2_map)
+    for y, b in enumerate(xi2_map):
+        xi2_inverse[b] = y
     xi1_map = []
-    for a in range(G.dom.size):
-        y = xi2_inverse[G.map[a]]
-        xi1_map.append(pools[y].pop())
+    for b in G.map:
+        y = xi2_inverse[b]
+        xi1_map.append(by_fiber[next_free[y]])
+        next_free[y] += 1
     return xi1_map
+
+
+def _wiring(F: FinFun, G: FinFun, descending: bool) -> tuple[FinFun, FinFun]:
+    """Free ``xi1``, ``xi2`` with ``xi2 . F . xi1 = G``, matching fibers by size."""
+    f_sizes = fiber_sizes(F)
+    xi2_map = _match_fibers(f_sizes, fiber_sizes(G), descending)
+    xi1_map = _route_inputs(F, G, f_sizes, xi2_map)
+    return (
+        FinFun._trusted(G.dom, F.dom, tuple(xi1_map)),
+        FinFun._trusted(F.cod, G.cod, tuple(xi2_map)),
+    )
 
 
 def _witness_bij(f: FinFun, g: FinFun) -> Witness:
@@ -182,14 +206,8 @@ def _witness_bij(f: FinFun, g: FinFun) -> Witness:
         j = realize_profile(Profile({i: n for i, n in deficit.items() if i != 1}))
     F = disjoint_union(f, identity(z))
     G = disjoint_union(g, j)
-    xi2_map, _ = _match_fibers(F, G, descending=False)
-    xi1_map = _route_inputs(F, G, xi2_map)
-    return Witness(
-        z,
-        FinFun(G.dom, F.dom, tuple(xi1_map)),
-        FinFun(F.cod, G.cod, tuple(xi2_map)),
-        j,
-    )
+    xi1, xi2 = _wiring(F, G, descending=False)
+    return Witness(z, xi1, xi2, j)
 
 
 def _witness_inj(f: FinFun, g: FinFun) -> Witness:
@@ -198,17 +216,11 @@ def _witness_inj(f: FinFun, g: FinFun) -> Witness:
     # balances the bijection between the padded codomains.
     z = FinSet(max(0, g.cod.size - f.cod.size, gamma_g[1] - gamma_f[1]))
     d = FinSet(f.cod.size + z.size - g.cod.size)
-    j = FinFun(FinSet(0), d, ())
+    j = FinFun._trusted(FinSet(0), d, ())
     F = disjoint_union(f, identity(z))
     G = disjoint_union(g, j)
-    xi2_map, _ = _match_fibers(F, G, descending=True)
-    xi1_map = _route_inputs(F, G, xi2_map)
-    return Witness(
-        z,
-        FinFun(G.dom, F.dom, tuple(xi1_map)),
-        FinFun(F.cod, G.cod, tuple(xi2_map)),
-        j,
-    )
+    xi1, xi2 = _wiring(F, G, descending=True)
+    return Witness(z, xi1, xi2, j)
 
 
 def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
@@ -222,7 +234,8 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
     """
     if not decide(variant, f, g):
         raise NotConvertibleError(
-            f"{f!r} does not convert to {g!r} under {variant.value}"
+            f"f ({f.dom.size} -> {f.cod.size}) does not convert to "
+            f"g ({g.dom.size} -> {g.cod.size}) under {variant.value}"
         )
     if variant is TheoryVariant.SET_BIJ:
         return _witness_bij(f, g)

@@ -18,6 +18,13 @@ Monoidal structure conventions, fixed once and used everywhere:
 
 Enumerators yield morphisms in lexicographic order of their map tuples and
 never repeat an entry.
+
+Functions are validated once, where their data enters: the public
+``FinFun`` constructor and :func:`finfun_from_dict` check every entry.
+Morphisms the library builds itself from already valid parts (composites,
+disjoint unions, identities, enumerations, witnesses) are in range by
+construction and go through the private trusted constructor
+``FinFun._trusted``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +56,26 @@ def _as_finset(obj: FinSet | int) -> FinSet:
     return obj if isinstance(obj, FinSet) else FinSet(obj)
 
 
+_INT_ONLY = frozenset({int})
+
+
+def _first_bad_entry(entries: Sequence[object], cod_size: int) -> int | None:
+    """Index of the first entry that is not an element of ``range(cod_size)``.
+
+    Elements are ints, including int subclasses other than ``bool``.  The
+    common all-``int`` case is settled by C-level builtins; the per-entry
+    loop only runs to find the entry to name, or to admit int subclasses.
+    """
+    if not entries:
+        return None
+    if set(map(type, entries)) <= _INT_ONLY and min(entries) >= 0 and max(entries) < cod_size:
+        return None
+    for i, y in enumerate(entries):
+        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < cod_size:
+            return i
+    return None
+
+
 @dataclass(frozen=True)
 class FinFun:
     """A total function between canonical finite sets, stored as its graph."""
@@ -63,9 +90,21 @@ class FinFun:
             raise ValueError(
                 f"map has {len(self.map)} entries but dom has size {self.dom.size}"
             )
-        for x, y in enumerate(self.map):
-            if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < self.cod.size:
-                raise ValueError(f"map[{x}] = {y!r} is not an element of the codomain")
+        x = _first_bad_entry(self.map, self.cod.size)
+        if x is not None:
+            raise ValueError(f"map[{x}] = {self.map[x]!r} is not an element of the codomain")
+
+    @classmethod
+    def _trusted(cls, dom: FinSet, cod: FinSet, entries: tuple[int, ...]) -> FinFun:
+        """Build without validation, for maps that are in range by construction.
+
+        ``entries`` must be a tuple of ``dom.size`` elements of ``cod``.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "map", entries)
+        return f
 
     @classmethod
     def from_map(cls, entries: Sequence[int], cod_size: int) -> FinFun:
@@ -82,7 +121,7 @@ class FinFun:
 
 def identity(x: FinSet | int) -> FinFun:
     x = _as_finset(x)
-    return FinFun(x, x, tuple(range(x.size)))
+    return FinFun._trusted(x, x, tuple(range(x.size)))
 
 
 def compose(late: FinFun, early: FinFun) -> FinFun:
@@ -91,16 +130,16 @@ def compose(late: FinFun, early: FinFun) -> FinFun:
         raise ValueError(
             f"cannot compose: codomain {early.cod.size} does not match domain {late.dom.size}"
         )
-    return FinFun(early.dom, late.cod, tuple(late.map[y] for y in early.map))
+    return FinFun._trusted(early.dom, late.cod, tuple(map(late.map.__getitem__, early.map)))
 
 
 def disjoint_union(f: FinFun, g: FinFun) -> FinFun:
     """Run ``f`` and ``g`` side by side on the disjoint union, left block first."""
     shift = f.cod.size
-    return FinFun(
+    return FinFun._trusted(
         FinSet(f.dom.size + g.dom.size),
         FinSet(f.cod.size + g.cod.size),
-        f.map + tuple(shift + y for y in g.map),
+        f.map + tuple(map(shift.__add__, g.map)),
     )
 
 
@@ -111,7 +150,7 @@ def braiding(x: FinSet | int, y: FinSet | int) -> FinFun:
     swapped = tuple(
         i + y.size if i < x.size else i - x.size for i in range(total.size)
     )
-    return FinFun(total, total, swapped)
+    return FinFun._trusted(total, total, swapped)
 
 
 def is_injection(f: FinFun) -> bool:
@@ -125,13 +164,13 @@ def is_bijection(f: FinFun) -> bool:
 def enumerate_functions(dom: FinSet | int, cod: FinSet | int) -> Iterator[FinFun]:
     dom, cod = _as_finset(dom), _as_finset(cod)
     for entries in itertools.product(range(cod.size), repeat=dom.size):
-        yield FinFun(dom, cod, entries)
+        yield FinFun._trusted(dom, cod, entries)
 
 
 def enumerate_injections(dom: FinSet | int, cod: FinSet | int) -> Iterator[FinFun]:
     dom, cod = _as_finset(dom), _as_finset(cod)
     for entries in itertools.permutations(range(cod.size), dom.size):
-        yield FinFun(dom, cod, entries)
+        yield FinFun._trusted(dom, cod, entries)
 
 
 def enumerate_bijections(dom: FinSet | int, cod: FinSet | int) -> Iterator[FinFun]:
@@ -279,10 +318,10 @@ def finfun_from_dict(data: object) -> FinFun:
         raise FormatError("field 'map' must be a list of integers")
     if len(entries) != dom:
         raise FormatError(f"field 'map' has {len(entries)} entries, expected {dom}")
-    for i, y in enumerate(entries):
-        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < cod:
-            raise FormatError(f"field 'map[{i}]' must be an integer in [0, {cod})")
-    return FinFun(FinSet(dom), FinSet(cod), tuple(entries))
+    i = _first_bad_entry(entries, cod)
+    if i is not None:
+        raise FormatError(f"field 'map[{i}]' must be an integer in [0, {cod})")
+    return FinFun._trusted(FinSet(dom), FinSet(cod), tuple(entries))
 
 
 def relation_to_dict(r: Relation) -> dict:

@@ -163,7 +163,7 @@ class SetTheory(TheoryInstance):
         tail = h.map[n_a:]
         if any(v < n_b for v in tail):
             return None
-        return FinFun(FinSet(c_size), FinSet(d_size), tuple(v - n_b for v in tail))
+        return FinFun._trusted(FinSet(c_size), FinSet(d_size), tuple(v - n_b for v in tail))
 
     def solve_discard(self, m: FinFun, g: FinFun, c_size: int, max_d: int):
         # The equation pins xi2 pointwise on the image of m: points hit from
@@ -226,8 +226,8 @@ class SetTheory(TheoryInstance):
                 used.add(choice)
                 if choice >= n_b:
                     free_d -= 1
-        xi2 = FinFun(m.cod, FinSet(n_b + d), tuple(xi2_map))
-        j = FinFun(
+        xi2 = FinFun._trusted(m.cod, FinSet(n_b + d), tuple(xi2_map))
+        j = FinFun._trusted(
             FinSet(c_size),
             FinSet(d),
             tuple(xi2_map[m.map[n_a + i]] - n_b for i in range(c_size)),

@@ -98,7 +98,8 @@ class Profile:
         return f"Profile({self._counts})"
 
 
-def _fiber_sizes(f: FinFun) -> list[int]:
+def fiber_sizes(f: FinFun) -> list[int]:
+    """``sizes[y]`` is the number of preimages of codomain point ``y``."""
     sizes = [0] * f.cod.size
     for y in f.map:
         sizes[y] += 1
@@ -114,7 +115,7 @@ def phi_profile(f: FinFun) -> Profile:
     >>> phi_profile(FinFun.from_map([0, 0, 1], 2))
     Profile({1: 1, 2: 1})
     """
-    return Profile(Counter(_fiber_sizes(f)))
+    return Profile(Counter(fiber_sizes(f)))
 
 
 def gamma_profile(f: FinFun) -> Profile:
@@ -126,7 +127,7 @@ def gamma_profile(f: FinFun) -> Profile:
     >>> gamma_profile(identity_like := FinFun.from_map([0, 1], 2))
     Profile({0: 2, 1: 2})
     """
-    sizes = _fiber_sizes(f)
+    sizes = fiber_sizes(f)
     if not sizes:
         return Profile()
     by_size = Counter(sizes)
@@ -154,7 +155,7 @@ def realize_profile(profile: Profile) -> FinFun:
         for _ in range(count):
             entries.extend([cod] * i)
             cod += 1
-    return FinFun(FinSet(len(entries)), FinSet(cod), tuple(entries))
+    return FinFun._trusted(FinSet(len(entries)), FinSet(cod), tuple(entries))
 
 
 # -- wire format ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Decision procedure, normal forms, and constructive witnesses."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pcdres import (
     FinFun,
@@ -12,10 +13,12 @@ from pcdres import (
     TheoryVariant,
     Witness,
     check_witness,
+    compose,
     decide,
     disjoint_union,
     enumerate_all_functions,
     equivalent,
+    identity,
     normal_form,
     representative,
     witness,
@@ -175,6 +178,73 @@ def test_witness_raises_when_not_convertible():
             witness(variant, POINT, MERGE)
 
 
+def test_not_convertible_message_names_sizes_and_variant():
+    g = FinFun.from_map([0, 0, 1], 2)
+    for variant in (BIJ, INJ):
+        with pytest.raises(NotConvertibleError) as info:
+            witness(variant, POINT, g)
+        message = str(info.value)
+        assert "f (1 -> 1)" in message and "g (3 -> 2)" in message
+        assert variant.value in message
+        assert "[0, 0, 1]" not in message
+
+
+# pairs whose fibers tie in size, so the witness depends on tie-breaking
+# (lowest index first); the expected maps are the ones witnesses have always had
+TIED = [
+    (
+        BIJ,
+        FinFun.from_map([0, 0, 1, 1, 2, 3], 5),
+        FinFun.from_map([1, 1, 0, 2], 4),
+        Witness(
+            FinSet(0),
+            FinFun.from_map([0, 1, 4, 5, 2, 3], 6),
+            FinFun.from_map([1, 4, 0, 2, 3], 5),
+            FinFun.from_map([0, 0], 1),
+        ),
+    ),
+    (
+        INJ,
+        FinFun.from_map([0, 0, 1, 1, 2, 3], 5),
+        FinFun.from_map([1, 1, 0, 2], 4),
+        Witness(
+            FinSet(0),
+            FinFun.from_map([0, 1, 2, 4], 6),
+            FinFun.from_map([1, 0, 2, 3, 4], 5),
+            FinFun.from_map([], 1),
+        ),
+    ),
+    (
+        INJ,
+        FinFun.from_map([2, 2, 0, 0, 1, 3, 3], 5),
+        FinFun.from_map([1, 0, 1, 0, 2], 4),
+        Witness(
+            FinSet(0),
+            FinFun.from_map([0, 2, 1, 3, 5], 7),
+            FinFun.from_map([0, 3, 1, 2, 4], 5),
+            FinFun.from_map([], 1),
+        ),
+    ),
+    (
+        BIJ,
+        FinFun.from_map([1, 0, 1, 0, 2], 3),
+        FinFun.from_map([0, 0, 1, 2, 2, 3], 4),
+        Witness(
+            FinSet(1),
+            FinFun.from_map([1, 3, 4, 0, 2, 5], 6),
+            FinFun.from_map([0, 2, 1, 3], 4),
+            FinFun.from_map([], 0),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("variant, f, g, expected", TIED)
+def test_witness_breaks_fiber_ties_by_lowest_index(variant, f, g, expected):
+    assert witness(variant, f, g) == expected
+    assert check_witness(variant, f, g, expected)
+
+
 def test_witness_sound_exhaustively():
     funs = list(enumerate_all_functions(2))
     for variant in (BIJ, INJ):
@@ -203,6 +273,79 @@ def test_check_witness_rejects_tampering():
     # relational parts do not typecheck in the function theories
     rel = Relation.from_pairs(0, 0, [])
     assert not check_witness(BIJ, MERGE, POINT, Witness(w.Z, w.xi1, w.xi2, rel))
+
+
+def functions(min_dom=10, max_dom=200):
+    """Random functions on ``min_dom`` to ``max_dom`` points."""
+    return st.integers(min_dom, max_dom).flatmap(
+        lambda n: st.integers(1, max(n, 1)).flatmap(
+            lambda c: st.lists(st.integers(0, c - 1), min_size=n, max_size=n).map(
+                lambda m: FinFun.from_map(m, c)
+            )
+        )
+    )
+
+
+def permutations(n):
+    return st.permutations(range(n)).map(lambda p: FinFun.from_map(p, n))
+
+
+@st.composite
+def convertible_pairs(draw):
+    """``(f, g)`` where ``f`` is ``g`` beside a random block, relabelled by bijections."""
+    g = draw(functions())
+    joined = disjoint_union(g, draw(functions(min_dom=0)))
+    into = draw(permutations(joined.dom.size))
+    out = draw(permutations(joined.cod.size))
+    return compose(out, compose(joined, into)), g
+
+
+@settings(max_examples=40)
+@given(functions(), functions())
+def test_witness_exactly_when_decide_on_random_functions(f, g):
+    for variant in (BIJ, INJ):
+        if decide(variant, f, g):
+            assert check_witness(variant, f, g, witness(variant, f, g))
+        else:
+            with pytest.raises(NotConvertibleError):
+                witness(variant, f, g)
+
+
+@settings(max_examples=40)
+@given(convertible_pairs())
+def test_witness_sound_on_random_functions(pair):
+    f, g = pair
+    for variant in (BIJ, INJ):
+        assert decide(variant, f, g)
+        assert check_witness(variant, f, g, witness(variant, f, g))
+
+
+def _swap(m, a, b):
+    entries = list(m.map)
+    entries[a], entries[b] = entries[b], entries[a]
+    return FinFun(m.dom, m.cod, entries)
+
+
+@settings(max_examples=40)
+@given(convertible_pairs(), st.data())
+def test_tampered_witnesses_rejected_on_random_functions(pair, data):
+    f, g = pair
+    for variant in (BIJ, INJ):
+        w = witness(variant, f, g)
+        padded = disjoint_union(f, identity(w.Z)).map
+        # input 0 passes through output y of f + 1_Z; sending y where another
+        # output went keeps xi2 free but moves input 0 off g's answer
+        y = padded[w.xi1.map[0]]
+        assume(w.xi2.dom.size > 1)
+        other = data.draw(st.integers(0, w.xi2.dom.size - 1).filter(lambda t: t != y))
+        moved = Witness(w.Z, w.xi1, _swap(w.xi2, y, other), w.j)
+        assert not check_witness(variant, f, g, moved)
+        # two inputs routed into different fibers, exchanged
+        apart = [a for a in range(w.xi1.dom.size) if padded[w.xi1.map[a]] != y]
+        if apart:
+            crossed = Witness(w.Z, _swap(w.xi1, 0, apart[0]), w.xi2, w.j)
+            assert not check_witness(variant, f, g, crossed)
+        assert not check_witness(variant, f, g, Witness(FinSet(w.Z.size + 1), w.xi1, w.xi2, w.j))
 
 
 def test_free_classes_nest():

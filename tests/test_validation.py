@@ -1,0 +1,175 @@
+"""Validation happens once, where data enters.
+
+The public ``FinFun`` constructor and ``finfun_from_dict`` must accept and
+reject exactly what the per-entry rule below accepts and rejects, naming the
+same first bad entry.  Morphisms the library builds itself skip validation,
+so each of them must come out exactly as the validating constructor would
+have built it.
+"""
+
+import enum
+
+import pytest
+from hypothesis import given, strategies as st
+
+from pcdres import (
+    SET_BIJ_THEORY,
+    SET_INJ_THEORY,
+    FinFun,
+    FinSet,
+    FormatError,
+    Profile,
+    TheoryVariant,
+    braiding,
+    compose,
+    decide,
+    disjoint_union,
+    enumerate_all_functions,
+    enumerate_injections,
+    finfun_from_dict,
+    identity,
+    oracle_convertible,
+    realize_profile,
+    witness,
+)
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 3
+
+
+def first_bad_entry(entries, cod):
+    """The per-entry rule: elements are non-bool ints in ``[0, cod)``."""
+    for i, y in enumerate(entries):
+        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < cod:
+            return i
+    return None
+
+
+MIXED_VALUE = st.one_of(
+    st.integers(-2, 6),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.sampled_from(list(Level)),
+)
+ENTRIES = st.one_of(
+    st.lists(st.integers(0, 5), max_size=8),
+    st.lists(st.integers(-1, 6), max_size=8),
+    st.lists(st.one_of(st.integers(0, 5), st.booleans(), st.sampled_from(list(Level))), max_size=8),
+    st.lists(MIXED_VALUE, max_size=8),
+)
+
+
+@given(ENTRIES, st.integers(0, 6))
+def test_constructor_matches_per_entry_rule(entries, cod):
+    bad = first_bad_entry(entries, cod)
+    if bad is None:
+        f = FinFun(FinSet(len(entries)), FinSet(cod), entries)
+        assert f.map == tuple(entries)
+        return
+    with pytest.raises(ValueError, match=rf"^map\[{bad}\] = .* is not an element") as info:
+        FinFun(FinSet(len(entries)), FinSet(cod), entries)
+    assert type(info.value) is ValueError
+
+
+@given(ENTRIES, st.integers(0, 6))
+def test_parser_matches_per_entry_rule(entries, cod):
+    data = {"dom": len(entries), "cod": cod, "map": list(entries)}
+    bad = first_bad_entry(entries, cod)
+    if bad is None:
+        assert finfun_from_dict(data) == FinFun(FinSet(len(entries)), FinSet(cod), entries)
+        return
+    message = rf"^field 'map\[{bad}\]' must be an integer in \[0, {cod}\)$"
+    with pytest.raises(FormatError, match=message) as info:
+        finfun_from_dict(data)
+    assert type(info.value) is FormatError
+
+
+def test_int_subclasses_other_than_bool_are_elements():
+    f = FinFun.from_map([Level.HIGH, 0, Level.LOW], 4)
+    assert f.map == (3, 0, 0)
+    assert finfun_from_dict({"dom": 1, "cod": 4, "map": [Level.HIGH]}).map == (3,)
+    with pytest.raises(ValueError, match=r"map\[1\] = <Level.HIGH: 3>"):
+        FinFun.from_map([0, Level.HIGH], 3)
+    with pytest.raises(ValueError, match=r"map\[0\] = False"):
+        FinFun.from_map([False], 1)
+
+
+# -- library-built morphisms ---------------------------------------------------
+
+
+def assert_as_validated(m):
+    """``m`` equals, and hashes like, its data passed through the public constructor."""
+    assert isinstance(m.map, tuple)
+    again = FinFun(FinSet(m.dom.size), FinSet(m.cod.size), list(m.map))
+    assert again == m and hash(again) == hash(m)
+
+
+def finfuns(dom=st.integers(0, 5), cod=st.integers(0, 5)):
+    def build(sizes):
+        d, c = sizes
+        if c == 0:  # the filter leaves only the empty map here
+            return st.just(FinFun.from_map([], 0))
+        return st.lists(st.integers(0, c - 1), min_size=d, max_size=d).map(
+            lambda m: FinFun.from_map(m, c)
+        )
+
+    return st.tuples(dom, cod).filter(lambda s: s[1] or not s[0]).flatmap(build)
+
+
+@given(st.data())
+def test_compose_and_union_come_out_validated(data):
+    f = data.draw(finfuns())
+    g = data.draw(finfuns(dom=st.just(f.cod.size)))
+    assert_as_validated(compose(g, f))
+    assert_as_validated(disjoint_union(f, g))
+    assert_as_validated(identity(f.dom))
+    assert_as_validated(braiding(f.dom, g.cod))
+
+
+def test_enumerators_come_out_validated():
+    for f in enumerate_all_functions(3):
+        assert_as_validated(f)
+    for d in range(4):
+        for c in range(4):
+            for f in enumerate_injections(d, c):
+                assert_as_validated(f)
+
+
+@given(st.dictionaries(st.integers(0, 5), st.integers(0, 3), max_size=5))
+def test_realized_profiles_come_out_validated(counts):
+    assert_as_validated(realize_profile(Profile(counts)))
+
+
+@given(finfuns(), finfuns())
+def test_witness_parts_come_out_validated(f, g):
+    for variant in TheoryVariant:
+        if decide(variant, f, g):
+            w = witness(variant, f, g)
+            for part in (w.xi1, w.xi2, w.j):
+                assert_as_validated(part)
+
+
+def test_solve_discard_outputs_come_out_validated():
+    funs = list(enumerate_all_functions(2))
+    solved = 0
+    for theory in (SET_BIJ_THEORY, SET_INJ_THEORY):
+        for f in funs:
+            for g in funs:
+                w = oracle_convertible(theory, f, g)
+                if w is not None:
+                    assert_as_validated(w.xi2)
+                    assert_as_validated(w.j)
+                    solved += 1
+        m = FinFun.from_map([0, 1, 1], 3)
+        found = theory.solve_discard(m, FinFun.from_map([0], 1), 2, 4)
+        assert found is not None
+        for part in found:
+            assert_as_validated(part)
+        split = theory.split_tensor(FinFun.from_map([0, 2, 1], 3), FinFun.from_map([0], 1), 2, 2)
+        assert split == FinFun.from_map([1, 0], 2)
+        assert_as_validated(split)
+    assert solved == 70 + 97
