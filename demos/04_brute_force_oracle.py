@@ -12,13 +12,13 @@ from pcdres import (
     FinFun,
     SearchBounds,
     TheoryVariant,
+    check_witness,
     decide,
     enumerate_all_functions,
     oracle_convertible,
     preorder_lines,
     preorder_table,
     theory_for,
-    verify_witness,
 )
 
 f = FinFun.from_map([0, 0], 1)
@@ -29,7 +29,7 @@ print("searching for f -> g with bijections free ...")
 w = oracle_convertible(theory, f, g)
 print("first witness in scan order: Z =", w.Z.size, " xi1 =", w.xi1.map,
       " xi2 =", w.xi2.map, " j =", w.j)
-print("replay inside the theory:", verify_witness(theory, f, g, w))
+print("replay inside the theory:", check_witness(theory, f, g, w))
 print("reverse direction:", oracle_convertible(theory, g, f))
 
 print()

@@ -10,9 +10,9 @@ confirms the collapse on an exhaustive slice.
 from pcdres import (
     REL_TIMES_THEORY,
     Relation,
+    check_witness,
     preorder_table,
     relx_convert,
-    verify_witness,
 )
 
 noisy = Relation.from_pairs(2, 2, [(0, 0), (0, 1), (1, 1)])  # nondeterministic
@@ -22,7 +22,7 @@ print("a deterministic one:       ", strict)
 
 for source, target in ((noisy, strict), (strict, noisy)):
     w = relx_convert(source, target)
-    ok = verify_witness(REL_TIMES_THEORY, source, target, w)
+    ok = check_witness(REL_TIMES_THEORY, source, target, w)
     print(f"convert {source!r} -> {target!r}: witness Z={w.Z.size}, valid={ok}")
 
 print()

@@ -24,11 +24,9 @@ from .convert import (
     decide,
     equivalent,
     normal_form,
-    witness,
-    witness_from_dict,
     witness_to_dict,
 )
-from .finset import FormatError, finfun_from_dict, relation_from_dict
+from .finset import FormatError, finfun_from_dict
 from .monotones import (
     BUILTIN_MEASURES,
     MeasureRejected,
@@ -37,15 +35,12 @@ from .monotones import (
     default_family,
 )
 from .oracle import (
-    REL_TIMES_THEORY,
+    THEORIES,
     SearchBounds,
     default_bounds,
     oracle_convertible,
     preorder_lines,
     preorder_table,
-    relx_convert,
-    theory_for,
-    verify_witness,
 )
 from .profiles import gamma_profile, phi_profile, profile_to_dict
 
@@ -54,8 +49,6 @@ EXIT_FALSE = 1
 EXIT_NO_WITNESS = 2
 EXIT_PARSE = 64
 EXIT_PRECONDITION = 65
-
-RELATIONAL = "rel-times"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,28 +85,25 @@ def _load_json(arg: str, inline: bool):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {where}: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"JSON nested too deeply in {where}") from None
 
 
-def _load_morphism(arg: str, inline: bool, relational: bool):
-    data = _load_json(arg, inline)
-    return relation_from_dict(data) if relational else finfun_from_dict(data)
-
-
-def _variant(args) -> TheoryVariant:
-    return TheoryVariant(args.variant)
+def _load_pair(args, theory) -> list:
+    """The ``f`` and ``g`` arguments, decoded as morphisms of ``theory``."""
+    return [theory.morphism_from_dict(_load_json(a, args.inline)) for a in (args.f, args.g)]
 
 
 def _cmd_profile(args) -> int:
-    f = _load_morphism(args.morphism, args.inline, relational=False)
+    f = finfun_from_dict(_load_json(args.morphism, args.inline))
     print("phi " + _compact(profile_to_dict(phi_profile(f))))
     print("gamma " + _compact(profile_to_dict(gamma_profile(f))))
     return EXIT_TRUE
 
 
 def _cmd_decide(args) -> int:
-    variant = _variant(args)
-    f = _load_morphism(args.f, args.inline, relational=False)
-    g = _load_morphism(args.g, args.inline, relational=False)
+    variant = TheoryVariant(args.variant)
+    f, g = _load_pair(args, variant)
     if decide(variant, f, g):
         print("convertible")
         return EXIT_TRUE
@@ -122,38 +112,29 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    relational = args.variant == RELATIONAL
-    f = _load_morphism(args.f, args.inline, relational)
-    g = _load_morphism(args.g, args.inline, relational)
-    if relational:
-        w = relx_convert(f, g)
-    else:
-        try:
-            w = witness(_variant(args), f, g)
-        except NotConvertibleError:
-            print("no witness: f does not convert to g", file=sys.stderr)
-            return EXIT_NO_WITNESS
+    theory = THEORIES[args.variant]
+    f, g = _load_pair(args, theory)
+    try:
+        w = theory.witness(f, g)
+    except NotConvertibleError:
+        print("no witness: f does not convert to g", file=sys.stderr)
+        return EXIT_NO_WITNESS
     print(_compact(witness_to_dict(w)))
     return EXIT_TRUE
 
 
 def _cmd_check_witness(args) -> int:
-    relational = args.variant == RELATIONAL
-    f = _load_morphism(args.f, args.inline, relational)
-    g = _load_morphism(args.g, args.inline, relational)
-    w = witness_from_dict(_load_json(args.w, args.inline), relational)
-    if relational:
-        ok = verify_witness(REL_TIMES_THEORY, f, g, w)
-    else:
-        ok = check_witness(_variant(args), f, g, w)
+    theory = THEORIES[args.variant]
+    f, g = _load_pair(args, theory)
+    w = theory.witness_from_dict(_load_json(args.w, args.inline))
+    ok = check_witness(theory, f, g, w)
     print("valid" if ok else "invalid")
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
 def _cmd_equiv(args) -> int:
-    variant = _variant(args)
-    f = _load_morphism(args.f, args.inline, relational=False)
-    g = _load_morphism(args.g, args.inline, relational=False)
+    variant = TheoryVariant(args.variant)
+    f, g = _load_pair(args, variant)
     if equivalent(variant, f, g):
         print(_compact(profile_to_dict(normal_form(variant, f))))
         return EXIT_TRUE
@@ -170,10 +151,8 @@ def _bounds_from_args(args, fallback: SearchBounds) -> SearchBounds:
 
 
 def _cmd_oracle(args) -> int:
-    relational = args.variant == RELATIONAL
-    theory = REL_TIMES_THEORY if relational else theory_for(_variant(args))
-    f = _load_morphism(args.f, args.inline, relational)
-    g = _load_morphism(args.g, args.inline, relational)
+    theory = THEORIES[args.variant]
+    f, g = _load_pair(args, theory)
     bounds = _bounds_from_args(args, default_bounds(f, g))
     w = oracle_convertible(theory, f, g, bounds)
     if w is None:
@@ -184,8 +163,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_preorder_table(args) -> int:
-    relational = args.variant == RELATIONAL
-    theory = REL_TIMES_THEORY if relational else theory_for(_variant(args))
+    theory = THEORIES[args.variant]
     limit = args.size_limit
     fallback = SearchBounds(max(3, limit), 4 * limit, 4 * limit)
     table = preorder_table(theory, limit, _bounds_from_args(args, fallback))
@@ -195,7 +173,7 @@ def _cmd_preorder_table(args) -> int:
 
 
 def _cmd_monotone_check(args) -> int:
-    variant = _variant(args)
+    variant = TheoryVariant(args.variant)
     names = args.measure or sorted(BUILTIN_MEASURES)
     ok = True
     for index, name in enumerate(names):
@@ -208,7 +186,7 @@ def _cmd_monotone_check(args) -> int:
 
 
 def _cmd_family_check(args) -> int:
-    variant = _variant(args)
+    variant = TheoryVariant(args.variant)
     if args.measure:
         family = tuple(BUILTIN_MEASURES[name] for name in args.measure)
     else:
@@ -231,12 +209,10 @@ def _build_parser() -> _Parser:
 
     set_variant = _Parser(add_help=False)
     set_variant.add_argument(
-        "--variant", required=True, choices=["set-bij", "set-inj"]
+        "--variant", required=True, choices=[v.value for v in TheoryVariant]
     )
     any_variant = _Parser(add_help=False)
-    any_variant.add_argument(
-        "--variant", required=True, choices=["set-bij", "set-inj", RELATIONAL]
-    )
+    any_variant.add_argument("--variant", required=True, choices=list(THEORIES))
 
     bounds = _Parser(add_help=False)
     for flag in ("--max-z", "--max-c", "--max-d"):

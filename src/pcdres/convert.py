@@ -16,14 +16,18 @@ dominates that of ``g`` away from index 1 (singleton fibers are exactly what
 padding with identities can create).  With injections free, domination of the
 tail profiles away from indices 0 and 1 is the criterion (injections can also
 invent fresh unhit outputs).  :func:`decide` applies the criterion;
-:func:`witness` builds an explicit ``(Z, xi1, xi2, j)`` tuple realizing it,
-and :func:`check_witness` replays the defining equation.
+:func:`witness` builds an explicit ``(Z, xi1, xi2, j)`` tuple realizing it.
+
+:class:`FinSetCategory` holds the operations of finite functions under
+disjoint union, shared by :class:`TheoryVariant` and the oracle's set
+theories; :func:`check_witness` replays the equation in any theory.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -51,7 +55,31 @@ class NotConvertibleError(ValueError):
     """Raised when a witness is requested for a pair that fails :func:`decide`."""
 
 
-class TheoryVariant(enum.Enum):
+class FinSetCategory:
+    """Finite sets and functions under disjoint union, and their wire format."""
+
+    morphism_type = FinFun
+
+    def identity(self, x: FinSet) -> FinFun:
+        return identity(x)
+
+    def compose(self, late: FinFun, early: FinFun) -> FinFun:
+        return compose(late, early)
+
+    def tensor(self, f: FinFun, g: FinFun) -> FinFun:
+        return disjoint_union(f, g)
+
+    def obj_tensor(self, x: FinSet, y: FinSet) -> FinSet:
+        return FinSet(x.size + y.size)
+
+    def morphism_from_dict(self, data: object) -> FinFun:
+        return finfun_from_dict(data)
+
+    def witness_from_dict(self, data: object) -> Witness:
+        return witness_from_dict(data)
+
+
+class TheoryVariant(FinSetCategory, enum.Enum):
     """Which free subtheory the conversion wiring may use."""
 
     SET_BIJ = "set-bij"
@@ -180,19 +208,23 @@ def _route_inputs(
     return xi1_map
 
 
-def _wiring(F: FinFun, G: FinFun, descending: bool) -> tuple[FinFun, FinFun]:
-    """Free ``xi1``, ``xi2`` with ``xi2 . F . xi1 = G``, matching fibers by size."""
-    f_sizes = fiber_sizes(F)
-    xi2_map = _match_fibers(f_sizes, fiber_sizes(G), descending)
-    xi1_map = _route_inputs(F, G, f_sizes, xi2_map)
-    return (
-        FinFun._trusted(G.dom, F.dom, tuple(xi1_map)),
-        FinFun._trusted(F.cod, G.cod, tuple(xi2_map)),
-    )
+def _wiring(f, g, f_sizes, g_sizes, z: FinSet, j: FinFun, descending: bool) -> Witness:
+    """The witness wiring ``F = f + 1_Z`` to ``G = g + j``, matching fibers by size.
+
+    ``f_sizes`` and ``g_sizes`` are the fiber sizes of ``f`` and ``g``.
+    """
+    F = disjoint_union(f, identity(z))
+    G = disjoint_union(g, j)
+    F_sizes = f_sizes + [1] * z.size
+    xi2_map = _match_fibers(F_sizes, g_sizes + fiber_sizes(j), descending)
+    xi1_map = _route_inputs(F, G, F_sizes, xi2_map)
+    xi1 = FinFun._trusted(G.dom, F.dom, tuple(xi1_map))
+    xi2 = FinFun._trusted(F.cod, G.cod, tuple(xi2_map))
+    return Witness(z, xi1, xi2, j)
 
 
-def _witness_bij(f: FinFun, g: FinFun) -> Witness:
-    phi_f, phi_g = phi_profile(f), phi_profile(g)
+def _witness_bij(f: FinFun, g: FinFun, f_sizes: list[int], g_sizes: list[int]) -> Witness:
+    phi_f, phi_g = Profile(Counter(f_sizes)), Profile(Counter(g_sizes))
     deficit = {
         i: phi_f[i] - phi_g[i]
         for i in set(phi_f.support) | set(phi_g.support)
@@ -204,23 +236,18 @@ def _witness_bij(f: FinFun, g: FinFun) -> Witness:
         # not enough singleton fibers in f: pad with exactly the identities missing
         z = FinSet(phi_g[1] - phi_f[1])
         j = realize_profile(Profile({i: n for i, n in deficit.items() if i != 1}))
-    F = disjoint_union(f, identity(z))
-    G = disjoint_union(g, j)
-    xi1, xi2 = _wiring(F, G, descending=False)
-    return Witness(z, xi1, xi2, j)
+    return _wiring(f, g, f_sizes, g_sizes, z, j, descending=False)
 
 
-def _witness_inj(f: FinFun, g: FinFun) -> Witness:
-    gamma_f, gamma_g = gamma_profile(f), gamma_profile(g)
+def _witness_inj(f: FinFun, g: FinFun, f_sizes: list[int], g_sizes: list[int]) -> Witness:
+    hit_f = len(f_sizes) - f_sizes.count(0)
+    hit_g = len(g_sizes) - g_sizes.count(0)
     # Z covers both the codomain gap and any shortfall in hit outputs; D then
     # balances the bijection between the padded codomains.
-    z = FinSet(max(0, g.cod.size - f.cod.size, gamma_g[1] - gamma_f[1]))
+    z = FinSet(max(0, g.cod.size - f.cod.size, hit_g - hit_f))
     d = FinSet(f.cod.size + z.size - g.cod.size)
     j = FinFun._trusted(FinSet(0), d, ())
-    F = disjoint_union(f, identity(z))
-    G = disjoint_union(g, j)
-    xi1, xi2 = _wiring(F, G, descending=True)
-    return Witness(z, xi1, xi2, j)
+    return _wiring(f, g, f_sizes, g_sizes, z, j, descending=True)
 
 
 def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
@@ -237,34 +264,32 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
             f"f ({f.dom.size} -> {f.cod.size}) does not convert to "
             f"g ({g.dom.size} -> {g.cod.size}) under {variant.value}"
         )
-    if variant is TheoryVariant.SET_BIJ:
-        return _witness_bij(f, g)
-    return _witness_inj(f, g)
+    build = _witness_bij if variant is TheoryVariant.SET_BIJ else _witness_inj
+    return build(f, g, fiber_sizes(f), fiber_sizes(g))
 
 
-def check_witness(
-    variant: TheoryVariant, f: FinFun, g: FinFun, w: Witness
-) -> bool:
-    """Replay the defining equation; False on any malformed or failing part."""
-    if not (
-        isinstance(w.Z, FinSet)
-        and isinstance(w.xi1, FinFun)
-        and isinstance(w.xi2, FinFun)
-        and isinstance(w.j, FinFun)
-    ):
+def check_witness(theory, f, g, w: Witness) -> bool:
+    """Replay ``xi2 . (f (x) 1_Z) . xi1 = g (x) j``; False on any malformed or failing part.
+
+    ``theory`` is a :class:`TheoryVariant` or an oracle theory such as
+    ``REL_TIMES_THEORY``; the equation is replayed through its operations.
+    """
+    parts = (w.xi1, w.xi2, w.j)
+    if not (isinstance(w.Z, FinSet) and all(isinstance(m, theory.morphism_type) for m in parts)):
         return False
-    if w.xi1.dom.size != g.dom.size + w.j.dom.size:
+    if w.xi1.dom != theory.obj_tensor(g.dom, w.j.dom):
         return False
-    if w.xi1.cod.size != f.dom.size + w.Z.size:
+    if w.xi1.cod != theory.obj_tensor(f.dom, w.Z):
         return False
-    if w.xi2.dom.size != f.cod.size + w.Z.size:
+    if w.xi2.dom != theory.obj_tensor(f.cod, w.Z):
         return False
-    if w.xi2.cod.size != g.cod.size + w.j.cod.size:
+    if w.xi2.cod != theory.obj_tensor(g.cod, w.j.cod):
         return False
-    if not (variant.is_free(w.xi1) and variant.is_free(w.xi2)):
+    if not (theory.is_free(w.xi1) and theory.is_free(w.xi2)):
         return False
-    left = compose(w.xi2, compose(disjoint_union(f, identity(w.Z)), w.xi1))
-    return left == disjoint_union(g, w.j)
+    padded = theory.tensor(f, theory.identity(w.Z))
+    left = theory.compose(w.xi2, theory.compose(padded, w.xi1))
+    return left == theory.tensor(g, w.j)
 
 
 # -- wire format ------------------------------------------------------------

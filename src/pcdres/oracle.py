@@ -21,6 +21,9 @@ falls back to plain enumeration of free morphisms.
 Everything here also works for the relational theory over cartesian
 products, whose free morphisms are graphs of functions.  That theory orders
 trivially: :func:`relx_convert` returns its closed-form witness.
+
+:data:`THEORIES` maps each ``--variant`` name to its theory object; found
+witnesses are replayed by :func:`pcdres.convert.check_witness`.
 """
 
 from __future__ import annotations
@@ -30,21 +33,19 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .convert import TheoryVariant, Witness
+from .convert import FinSetCategory, TheoryVariant, Witness, witness, witness_from_dict
 from .finset import (
     FinFun,
     FinSet,
     Relation,
-    compose,
-    disjoint_union,
     enumerate_functions,
     finfun_to_dict,
-    identity,
     is_fun_graph,
     rel_compose,
     rel_identity,
     rel_of_fun,
     rel_product,
+    relation_from_dict,
     relation_to_dict,
 )
 
@@ -81,9 +82,14 @@ def _fun_graphs(dom_size: int, cod_size: int) -> tuple[Relation, ...]:
 
 
 class TheoryInstance:
-    """Category operations plus a free subtheory, enough to run the search."""
+    """Category operations plus a free subtheory, enough to run the search.
+
+    ``check_witness`` also reads ``morphism_type``; the command line calls
+    ``witness(f, g)``, ``morphism_from_dict`` and ``witness_from_dict``.
+    """
 
     name: str
+    morphism_type: type
 
     def identity(self, x: FinSet):
         raise NotImplementedError
@@ -126,24 +132,15 @@ class TheoryInstance:
         return None
 
 
-class SetTheory(TheoryInstance):
+class SetTheory(FinSetCategory, TheoryInstance):
     """Finite functions under disjoint union, with bijections or injections free."""
 
     def __init__(self, variant: TheoryVariant) -> None:
         self.variant = variant
         self.name = variant.value
 
-    def identity(self, x: FinSet) -> FinFun:
-        return identity(x)
-
-    def compose(self, late: FinFun, early: FinFun) -> FinFun:
-        return compose(late, early)
-
-    def tensor(self, f: FinFun, g: FinFun) -> FinFun:
-        return disjoint_union(f, g)
-
-    def obj_tensor(self, x: FinSet, y: FinSet) -> FinSet:
-        return FinSet(x.size + y.size)
+    def witness(self, f: FinFun, g: FinFun) -> Witness:
+        return witness(self.variant, f, g)
 
     def morphisms(self, dom: FinSet, cod: FinSet):
         return enumerate_functions(dom, cod)
@@ -239,6 +236,16 @@ class RelTimesTheory(TheoryInstance):
     """Relations under cartesian product, with graphs of functions free."""
 
     name = "rel-times"
+    morphism_type = Relation
+
+    def witness(self, f: Relation, g: Relation) -> Witness:
+        return relx_convert(f, g)
+
+    def morphism_from_dict(self, data: object) -> Relation:
+        return relation_from_dict(data)
+
+    def witness_from_dict(self, data: object) -> Witness:
+        return witness_from_dict(data, relational=True)
 
     def identity(self, x: FinSet) -> Relation:
         return rel_identity(x)
@@ -292,8 +299,13 @@ SET_INJ_THEORY = SetTheory(TheoryVariant.SET_INJ)
 REL_TIMES_THEORY = RelTimesTheory()
 
 
+THEORIES: dict[str, TheoryInstance] = {
+    t.name: t for t in (SET_BIJ_THEORY, SET_INJ_THEORY, REL_TIMES_THEORY)
+}
+
+
 def theory_for(variant: TheoryVariant) -> SetTheory:
-    return SET_BIJ_THEORY if variant is TheoryVariant.SET_BIJ else SET_INJ_THEORY
+    return THEORIES[variant.value]
 
 
 def oracle_convertible(
@@ -314,24 +326,6 @@ def oracle_convertible(
                     xi2, j = found
                     return Witness(z_obj, xi1, xi2, j)
     return None
-
-
-def verify_witness(theory: TheoryInstance, f, g, w: Witness) -> bool:
-    """Replay the defining equation inside the given theory; False if anything fails."""
-    c_obj, d_obj = w.j.dom, w.j.cod
-    if w.xi1.dom != theory.obj_tensor(g.dom, c_obj):
-        return False
-    if w.xi1.cod != theory.obj_tensor(f.dom, w.Z):
-        return False
-    if w.xi2.dom != theory.obj_tensor(f.cod, w.Z):
-        return False
-    if w.xi2.cod != theory.obj_tensor(g.cod, d_obj):
-        return False
-    if not (theory.is_free(w.xi1) and theory.is_free(w.xi2)):
-        return False
-    padded = theory.tensor(f, theory.identity(w.Z))
-    left = theory.compose(w.xi2, theory.compose(padded, w.xi1))
-    return left == theory.tensor(g, w.j)
 
 
 def relx_convert(f: Relation, g: Relation) -> Witness:

@@ -175,7 +175,7 @@ def profile_from_dict(data: object) -> Profile:
         raise FormatError("field 'profile' must be an object of index -> count")
     counts = {}
     for key, value in raw.items():
-        if not isinstance(key, str) or not key.isdigit():
+        if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
             raise FormatError(f"field 'profile' has non-numeric index {key!r}")
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise FormatError(f"field 'profile[{key}]' must be a non-negative integer")

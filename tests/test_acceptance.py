@@ -34,9 +34,9 @@ from pcdres import (
     realize_profile,
     relx_convert,
     theory_for,
-    verify_witness,
     witness,
 )
+from pcdres import check_witness as verify_witness
 from pcdres.oracle import REL_TIMES_THEORY
 
 BIJ = TheoryVariant.SET_BIJ

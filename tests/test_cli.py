@@ -209,6 +209,31 @@ def test_malformed_input_exit_64(capsys):
     assert "field 'map[0]' must be an integer in [0, 1)" in err
 
 
+def test_deeply_nested_json_exit_64(capsys, tmp_path):
+    deep = "[" * 100000
+    code, out, err = run(capsys, "decide", "--variant", "set-bij", "--inline", deep, POINT)
+    assert (code, out) == (64, "")
+    assert "nested too deeply in inline argument" in err
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    code, out, err = run(capsys, "profile", str(path))
+    assert (code, out) == (64, "")
+    assert f"nested too deeply in {path}" in err
+
+
+def test_check_witness_relational_rejects_tampering(capsys):
+    f_text = '{"dom":2,"cod":2,"pairs":[[0,0],[0,1]]}'
+    g_text = '{"dom":1,"cod":1,"pairs":[]}'
+    _, out, _ = run(capsys, "witness", "--variant", "rel-times", "--inline", f_text, g_text)
+    w = json.loads(out)
+    w["xi2"]["pairs"] = w["xi2"]["pairs"][:1]  # output 1 of f no longer discarded
+    code, out, _ = run(
+        capsys, "check-witness", "--variant", "rel-times", "--inline",
+        f_text, g_text, json.dumps(w),
+    )
+    assert (code, out) == (1, "invalid\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pcdres", "decide", "--variant", "set-inj",

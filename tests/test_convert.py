@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pcdres import (
+    REL_TIMES_THEORY,
     FinFun,
     FinSet,
     FormatError,
@@ -20,7 +21,9 @@ from pcdres import (
     equivalent,
     identity,
     normal_form,
+    relx_convert,
     representative,
+    theory_for,
     witness,
     witness_from_dict,
     witness_to_dict,
@@ -346,6 +349,43 @@ def test_tampered_witnesses_rejected_on_random_functions(pair, data):
             crossed = Witness(w.Z, _swap(w.xi1, 0, apart[0]), w.xi2, w.j)
             assert not check_witness(variant, f, g, crossed)
         assert not check_witness(variant, f, g, Witness(FinSet(w.Z.size + 1), w.xi1, w.xi2, w.j))
+
+
+def _tampered(w):
+    """``w`` with two outputs of ``xi2`` exchanged, or with ``Z`` one larger."""
+    if w.xi2.dom.size < 2:
+        return Witness(FinSet(w.Z.size + 1), w.xi1, w.xi2, w.j)
+    return Witness(w.Z, w.xi1, _swap(w.xi2, 0, w.xi2.dom.size - 1), w.j)
+
+
+def test_check_witness_agrees_between_variant_and_oracle_theory():
+    funs = list(enumerate_all_functions(2))
+    for variant in (BIJ, INJ):
+        theory = theory_for(variant)
+        for f in funs:
+            for g in funs:
+                if not decide(variant, f, g):
+                    continue
+                w = witness(variant, f, g)
+                assert check_witness(variant, f, g, w)
+                assert check_witness(theory, f, g, w)
+                bad = _tampered(w)
+                assert check_witness(variant, f, g, bad) == check_witness(theory, f, g, bad)
+
+
+def test_check_witness_in_the_relational_theory():
+    f = Relation.from_pairs(2, 2, [(0, 0), (0, 1)])
+    g = Relation.from_pairs(1, 1, [])
+    w = relx_convert(f, g)
+    assert check_witness(REL_TIMES_THEORY, f, g, w)
+    # function parts are the wrong morphism kind here: rejected, not raised
+    set_w = witness(BIJ, MERGE, POINT)
+    assert not check_witness(REL_TIMES_THEORY, f, g, set_w)
+    assert not check_witness(REL_TIMES_THEORY, f, g, Witness(w.Z, w.xi1, w.xi2, MERGE))
+    # xi2 no longer total on cod(f): not a function graph
+    partial = Relation.from_pairs(2, 1, [(0, 0)])
+    assert not check_witness(REL_TIMES_THEORY, f, g, Witness(w.Z, w.xi1, partial, w.j))
+    assert not check_witness(REL_TIMES_THEORY, f, g, Witness(FinSet(2), w.xi1, w.xi2, w.j))
 
 
 def test_free_classes_nest():

@@ -24,8 +24,8 @@ from pcdres import (
     preorder_table,
     relx_convert,
     theory_for,
-    verify_witness,
 )
+from pcdres import check_witness as verify_witness
 from pcdres.oracle import (
     REL_TIMES_THEORY,
     SET_BIJ_THEORY,

@@ -167,3 +167,11 @@ def test_profile_dict_errors():
         profile_from_dict({"profile": {"two": 1}})
     with pytest.raises(FormatError, match=r"field 'profile\[2\]' must be a non-negative"):
         profile_from_dict({"profile": {"2": -1}})
+
+
+def test_profile_dict_rejects_non_ascii_digits():
+    # str.isdigit admits these; int() rejects the superscript and reads the
+    # Arabic-Indic digit as 3
+    for key in ("\u00b2", "\u0663", "1\u00b2"):
+        with pytest.raises(FormatError, match="non-numeric index"):
+            profile_from_dict({"profile": {key: 1}})
