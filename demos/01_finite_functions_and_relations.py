@@ -1,8 +1,8 @@
 """Tour of the base layer: canonical finite sets, functions, and relations.
 
 A finite set is just a size; its elements are 0..n-1.  Functions carry their
-whole graph, relations a boolean matrix, and both compose, tensor, and
-serialize.  Everything downstream (profiles, conversion, search) is built
+whole graph, relations the set of their related pairs, and both compose,
+tensor, and serialize.  Everything downstream (profiles, conversion, search) is built
 from the handful of operations shown here.
 """
 
@@ -53,6 +53,8 @@ print("graph of g =", s)
 print("s . r =", rel_compose(s, r))
 print("r x s pairs:", rel_product(r, s).pairs())
 print("back to a function:", fun_of_rel(s))
+big = Relation.from_pairs(10**6, 10**6, [(0, 0)])  # costs one pair, not 10^12 cells
+print("one pair on a million points:", big.pairs())
 
 print()
 print("== wire format ==")

@@ -45,6 +45,7 @@ from .finset import (
     identity,
     is_bijection,
     is_injection,
+    reject_unknown_fields,
     relation_from_dict,
     relation_to_dict,
 )
@@ -60,9 +61,6 @@ class FinSetCategory:
 
     morphism_type = FinFun
 
-    def identity(self, x: FinSet) -> FinFun:
-        return identity(x)
-
     def compose(self, late: FinFun, early: FinFun) -> FinFun:
         return compose(late, early)
 
@@ -71,6 +69,9 @@ class FinSetCategory:
 
     def obj_tensor(self, x: FinSet, y: FinSet) -> FinSet:
         return FinSet(x.size + y.size)
+
+    def pad(self, f: FinFun, z: FinSet) -> FinFun:
+        return disjoint_union(f, identity(z))
 
     def morphism_from_dict(self, data: object) -> FinFun:
         return finfun_from_dict(data)
@@ -287,7 +288,7 @@ def check_witness(theory, f, g, w: Witness) -> bool:
         return False
     if not (theory.is_free(w.xi1) and theory.is_free(w.xi2)):
         return False
-    padded = theory.tensor(f, theory.identity(w.Z))
+    padded = theory.pad(f, w.Z)
     left = theory.compose(w.xi2, theory.compose(padded, w.xi1))
     return left == theory.tensor(g, w.j)
 
@@ -310,6 +311,7 @@ def witness_to_dict(w: Witness) -> dict:
 def witness_from_dict(data: object, relational: bool = False) -> Witness:
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object with fields 'Z', 'xi1', 'xi2', 'j'")
+    reject_unknown_fields(data, ("Z", "xi1", "xi2", "j"))
     for field in ("Z", "xi1", "xi2", "j"):
         if field not in data:
             raise FormatError(f"missing field '{field}'")

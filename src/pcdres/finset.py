@@ -3,9 +3,9 @@
 A finite set of size ``n`` has elements ``0 .. n-1``; there is exactly one
 such set per size, so objects are determined by a single integer.  Functions
 store their whole graph as a tuple (``map[x]`` is the image of ``x``) and
-relations store a boolean matrix indexed ``matrix[x][y]``.  Everything is
-immutable and compares structurally, which makes morphisms usable as dict
-keys and set members.
+relations store the frozenset of their related pairs ``(x, y)``, a format
+known to this module alone.  Everything is immutable and compares
+structurally, which makes morphisms usable as dict keys and set members.
 
 Monoidal structure conventions, fixed once and used everywhere:
 
@@ -19,12 +19,14 @@ Monoidal structure conventions, fixed once and used everywhere:
 Enumerators yield morphisms in lexicographic order of their map tuples and
 never repeat an entry.
 
-Functions are validated once, where their data enters: the public
-``FinFun`` constructor and :func:`finfun_from_dict` check every entry.
-Morphisms the library builds itself from already valid parts (composites,
-disjoint unions, identities, enumerations, witnesses) are in range by
-construction and go through the private trusted constructor
-``FinFun._trusted``, which checks nothing.
+Morphisms are validated once, where their data enters: the public
+``FinFun`` and ``Relation`` constructors, :func:`finfun_from_dict` and
+:func:`relation_from_dict` check every entry or pair, and the decoders
+reject unknown fields.  Morphisms the library builds itself from already
+valid parts (composites, products, disjoint unions, identities,
+enumerations, witnesses) are in range by construction and go through the
+private trusted constructors ``FinFun._trusted`` and ``Relation._trusted``,
+which check nothing.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ def _as_finset(obj: FinSet | int) -> FinSet:
 _INT_ONLY = frozenset({int})
 
 
+def _is_element(v: object, size: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < size
+
+
 def _first_bad_entry(entries: Sequence[object], cod_size: int) -> int | None:
     """Index of the first entry that is not an element of ``range(cod_size)``.
 
@@ -71,7 +77,7 @@ def _first_bad_entry(entries: Sequence[object], cod_size: int) -> int | None:
     if set(map(type, entries)) <= _INT_ONLY and min(entries) >= 0 and max(entries) < cod_size:
         return None
     for i, y in enumerate(entries):
-        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < cod_size:
+        if not _is_element(y, cod_size):
             return i
     return None
 
@@ -189,46 +195,42 @@ def enumerate_all_functions(max_size: int) -> Iterator[FinFun]:
 
 @dataclass(frozen=True)
 class Relation:
-    """A relation between canonical finite sets as a dom-by-cod boolean matrix."""
+    """A relation between canonical finite sets, stored as its set of related pairs.
+
+    ``graph`` holds the pairs ``(x, y)`` with ``x`` in ``dom`` and ``y`` in
+    ``cod``; every operation costs time in proportion to the pairs it reads
+    and writes, never to ``dom.size * cod.size``.
+    """
 
     dom: FinSet
     cod: FinSet
-    matrix: tuple[tuple[bool, ...], ...]
+    graph: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
-        if len(self.matrix) != self.dom.size:
-            raise ValueError(
-                f"matrix has {len(self.matrix)} rows but dom has size {self.dom.size}"
-            )
-        for x, row in enumerate(self.matrix):
-            if len(row) != self.cod.size:
-                raise ValueError(
-                    f"matrix row {x} has {len(row)} columns but cod has size {self.cod.size}"
-                )
+        graph = frozenset((x, y) for x, y in self.graph)
+        for x, y in graph:
+            if not (_is_element(x, self.dom.size) and _is_element(y, self.cod.size)):
+                raise ValueError(f"pair ({x!r}, {y!r}) is out of range")
+        object.__setattr__(self, "graph", graph)
+
+    @classmethod
+    def _trusted(cls, dom: FinSet, cod: FinSet, graph: frozenset[tuple[int, int]]) -> Relation:
+        """Build without validation, for pairs that are in range by construction."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "dom", dom)
+        object.__setattr__(r, "cod", cod)
+        object.__setattr__(r, "graph", graph)
+        return r
 
     @classmethod
     def from_pairs(
         cls, dom_size: int, cod_size: int, pairs: Iterable[tuple[int, int]]
     ) -> Relation:
-        related = set()
-        for x, y in pairs:
-            if not 0 <= x < dom_size or not 0 <= y < cod_size:
-                raise ValueError(f"pair ({x}, {y}) is out of range")
-            related.add((x, y))
-        matrix = tuple(
-            tuple((x, y) in related for y in range(cod_size)) for x in range(dom_size)
-        )
-        return cls(FinSet(dom_size), FinSet(cod_size), matrix)
+        return cls(FinSet(dom_size), FinSet(cod_size), pairs)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The related pairs in lexicographic order."""
-        return tuple(
-            (x, y)
-            for x, row in enumerate(self.matrix)
-            for y, hit in enumerate(row)
-            if hit
-        )
+        return tuple(sorted(self.graph))
 
     def __repr__(self) -> str:
         return f"Relation({list(self.pairs())}: {self.dom.size} -> {self.cod.size})"
@@ -236,7 +238,7 @@ class Relation:
 
 def rel_identity(x: FinSet | int) -> Relation:
     x = _as_finset(x)
-    return Relation(x, x, tuple(tuple(i == j for j in x) for i in x))
+    return Relation._trusted(x, x, frozenset(zip(range(x.size), range(x.size))))
 
 
 def rel_compose(late: Relation, early: Relation) -> Relation:
@@ -245,54 +247,62 @@ def rel_compose(late: Relation, early: Relation) -> Relation:
         raise ValueError(
             f"cannot compose: codomain {early.cod.size} does not match domain {late.dom.size}"
         )
-    matrix = tuple(
-        tuple(
-            any(early.matrix[x][y] and late.matrix[y][z] for y in early.cod)
-            for z in late.cod
-        )
-        for x in early.dom
-    )
-    return Relation(early.dom, late.cod, matrix)
+    after: dict[int, list[int]] = {}
+    for y, z in late.graph:
+        after.setdefault(y, []).append(z)
+    graph = frozenset((x, z) for x, y in early.graph for z in after.get(y, ()))
+    return Relation._trusted(early.dom, late.cod, graph)
 
 
 def rel_product(r: Relation, s: Relation) -> Relation:
     """Cartesian product of relations under row-major pair indexing."""
-    dom = FinSet(r.dom.size * s.dom.size)
-    cod = FinSet(r.cod.size * s.cod.size)
-    matrix = tuple(
-        tuple(
-            r.matrix[x][y] and s.matrix[a][b]
-            for y in r.cod
-            for b in s.cod
-        )
-        for x in r.dom
-        for a in s.dom
-    )
-    return Relation(dom, cod, matrix)
+    n_a, n_b = s.dom.size, s.cod.size
+    graph = frozenset((x * n_a + a, y * n_b + b) for x, y in r.graph for a, b in s.graph)
+    return Relation._trusted(FinSet(r.dom.size * n_a), FinSet(r.cod.size * n_b), graph)
+
+
+def rel_pad(r: Relation, z: FinSet | int) -> Relation:
+    """``rel_product(r, rel_identity(z))`` without building the identity.
+
+    Costs time in proportion to the ``len(r.graph) * z`` pairs written, so an
+    empty ``r`` pads for free at any ``z``.
+    """
+    n = _as_finset(z).size
+    graph = frozenset((x * n + a, y * n + a) for x, y in r.graph for a in range(n))
+    return Relation._trusted(FinSet(r.dom.size * n), FinSet(r.cod.size * n), graph)
 
 
 def rel_of_fun(f: FinFun) -> Relation:
     """The graph of a function as a relation."""
-    matrix = tuple(tuple(f.map[x] == y for y in f.cod) for x in f.dom)
-    return Relation(f.dom, f.cod, matrix)
+    return Relation._trusted(f.dom, f.cod, frozenset(enumerate(f.map)))
 
 
 def is_fun_graph(r: Relation) -> bool:
     """Whether each domain element relates to exactly one codomain element."""
-    return all(sum(row) == 1 for row in r.matrix)
+    return len(r.graph) == r.dom.size == len({x for x, _ in r.graph})
 
 
 def fun_of_rel(r: Relation) -> FinFun:
     """Invert :func:`rel_of_fun`; raises if the relation is not a graph."""
     if not is_fun_graph(r):
         raise ValueError("relation is not the graph of a function")
-    return FinFun(r.dom, r.cod, tuple(row.index(True) for row in r.matrix))
+    entries = [0] * r.dom.size
+    for x, y in r.graph:
+        entries[x] = y
+    return FinFun._trusted(r.dom, r.cod, tuple(entries))
 
 
 # -- wire format ------------------------------------------------------------
 #
 # FinFun:   {"dom": n, "cod": m, "map": [y0, y1, ...]}
 # Relation: {"dom": n, "cod": m, "pairs": [[x, y], ...]}  pairs sorted
+
+
+def reject_unknown_fields(data: dict, known: tuple[str, ...]) -> None:
+    """Raise a :class:`FormatError` naming the first field of ``data`` not in ``known``."""
+    for field in data:
+        if field not in known:
+            raise FormatError(f"unknown field {field!r}")
 
 
 def _read_size(data: dict, field: str) -> int:
@@ -311,6 +321,7 @@ def finfun_to_dict(f: FinFun) -> dict:
 def finfun_from_dict(data: object) -> FinFun:
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object with fields 'dom', 'cod', 'map'")
+    reject_unknown_fields(data, ("dom", "cod", "map"))
     dom = _read_size(data, "dom")
     cod = _read_size(data, "cod")
     entries = data.get("map")
@@ -331,12 +342,12 @@ def relation_to_dict(r: Relation) -> dict:
 def relation_from_dict(data: object) -> Relation:
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object with fields 'dom', 'cod', 'pairs'")
+    reject_unknown_fields(data, ("dom", "cod", "pairs"))
     dom = _read_size(data, "dom")
     cod = _read_size(data, "cod")
     raw = data.get("pairs")
     if not isinstance(raw, list):
         raise FormatError("field 'pairs' must be a list of [x, y] pairs")
-    pairs = []
     for i, entry in enumerate(raw):
         ok = (
             isinstance(entry, list)
@@ -348,5 +359,4 @@ def relation_from_dict(data: object) -> Relation:
         x, y = entry
         if not 0 <= x < dom or not 0 <= y < cod:
             raise FormatError(f"field 'pairs[{i}]' is out of range for dom {dom}, cod {cod}")
-        pairs.append((x, y))
-    return Relation.from_pairs(dom, cod, pairs)
+    return Relation._trusted(FinSet(dom), FinSet(cod), frozenset(map(tuple, raw)))

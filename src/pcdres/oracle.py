@@ -42,8 +42,8 @@ from .finset import (
     finfun_to_dict,
     is_fun_graph,
     rel_compose,
-    rel_identity,
     rel_of_fun,
+    rel_pad,
     rel_product,
     relation_from_dict,
     relation_to_dict,
@@ -63,6 +63,14 @@ class SearchBounds:
             value = getattr(self, field)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{field} must be a non-negative integer")
+
+
+class BoundsTooTightError(ValueError, RuntimeError):
+    """Search bounds too tight for :func:`preorder_table` to close into a preorder.
+
+    A ``ValueError``, so the command line exits 65 naming the failure, and a
+    ``RuntimeError`` for callers that catch that.
+    """
 
 
 def default_bounds(f, g) -> SearchBounds:
@@ -91,9 +99,6 @@ class TheoryInstance:
     name: str
     morphism_type: type
 
-    def identity(self, x: FinSet):
-        raise NotImplementedError
-
     def compose(self, late, early):
         raise NotImplementedError
 
@@ -101,6 +106,10 @@ class TheoryInstance:
         raise NotImplementedError
 
     def obj_tensor(self, x: FinSet, y: FinSet) -> FinSet:
+        raise NotImplementedError
+
+    def pad(self, f, z: FinSet):
+        """``f (x) 1_Z``, the process run beside an untouched auxiliary system."""
         raise NotImplementedError
 
     def morphisms(self, dom: FinSet, cod: FinSet):
@@ -247,9 +256,6 @@ class RelTimesTheory(TheoryInstance):
     def witness_from_dict(self, data: object) -> Witness:
         return witness_from_dict(data, relational=True)
 
-    def identity(self, x: FinSet) -> Relation:
-        return rel_identity(x)
-
     def compose(self, late: Relation, early: Relation) -> Relation:
         return rel_compose(late, early)
 
@@ -259,13 +265,13 @@ class RelTimesTheory(TheoryInstance):
     def obj_tensor(self, x: FinSet, y: FinSet) -> FinSet:
         return FinSet(x.size * y.size)
 
+    def pad(self, f: Relation, z: FinSet) -> Relation:
+        return rel_pad(f, z)
+
     def morphisms(self, dom: FinSet, cod: FinSet):
-        cells = dom.size * cod.size
-        for bits in itertools.product((False, True), repeat=cells):
-            matrix = tuple(
-                bits[x * cod.size : (x + 1) * cod.size] for x in range(dom.size)
-            )
-            yield Relation(dom, cod, matrix)
+        cells = list(itertools.product(range(dom.size), range(cod.size)))
+        for bits in itertools.product((False, True), repeat=len(cells)):
+            yield Relation.from_pairs(dom.size, cod.size, itertools.compress(cells, bits))
 
     def free_morphisms(self, dom: FinSet, cod: FinSet):
         return iter(_fun_graphs(dom.size, cod.size))
@@ -277,21 +283,9 @@ class RelTimesTheory(TheoryInstance):
         n_a, n_b = g.dom.size, g.cod.size
         if h.dom.size != n_a * c_size or h.cod.size != n_b * d_size:
             return None
-        # read off the unique minimal candidate, then verify the product
-        j_matrix = [[False] * d_size for _ in range(c_size)]
-        for row, cells in enumerate(h.matrix):
-            a, c = divmod(row, c_size)
-            for col, hit in enumerate(cells):
-                if not hit:
-                    continue
-                b, d = divmod(col, d_size)
-                if not g.matrix[a][b]:
-                    return None
-                j_matrix[c][d] = True
-        j = Relation(FinSet(c_size), FinSet(d_size), tuple(tuple(r) for r in j_matrix))
-        if rel_product(g, j) == h:
-            return j
-        return None
+        # the only candidate is h's projection onto the junk coordinates
+        j = Relation.from_pairs(c_size, d_size, ((x % c_size, y % d_size) for x, y in h.pairs()))
+        return j if rel_product(g, j) == h else None
 
 
 SET_BIJ_THEORY = SetTheory(TheoryVariant.SET_BIJ)
@@ -316,7 +310,7 @@ def oracle_convertible(
         bounds = default_bounds(f, g)
     for z in range(bounds.max_z + 1):
         z_obj = FinSet(z)
-        padded = theory.tensor(f, theory.identity(z_obj))
+        padded = theory.pad(f, z_obj)
         for c in range(bounds.max_c + 1):
             source = theory.obj_tensor(g.dom, FinSet(c))
             for xi1 in theory.free_morphisms(source, padded.dom):
@@ -341,9 +335,9 @@ def relx_convert(f: Relation, g: Relation) -> Witness:
             "precondition failed: g has empty codomain but f does not, "
             "so no constant discarding map exists"
         )
-    xi1 = Relation(FinSet(0), f.dom, ())
-    xi2 = rel_of_fun(FinFun(f.cod, g.cod, (0,) * f.cod.size))
-    j = Relation(FinSet(0), FinSet(1), ())
+    xi1 = Relation.from_pairs(0, f.dom.size, ())
+    xi2 = rel_of_fun(FinFun._trusted(f.cod, g.cod, (0,) * f.cod.size))
+    j = Relation.from_pairs(0, 1, ())
     return Witness(FinSet(1), xi1, xi2, j)
 
 
@@ -353,7 +347,8 @@ def preorder_table(
     """All oracle-confirmed conversions between processes up to ``size_limit``.
 
     The result is checked to be reflexive and transitively closed; bounds too
-    tight to reproduce a composite conversion raise rather than repair.
+    tight to reproduce a composite conversion raise :class:`BoundsTooTightError`
+    rather than repair.
     """
     ms = [
         m
@@ -368,11 +363,11 @@ def preorder_table(
                 table.add((fm, gm))
     for m in ms:
         if (m, m) not in table:
-            raise RuntimeError(f"preorder table is not reflexive at {m!r}; widen bounds")
+            raise BoundsTooTightError(f"preorder table is not reflexive at {m!r}; widen bounds")
     for a, b in table:
         for c in ms:
             if (b, c) in table and (a, c) not in table:
-                raise RuntimeError(
+                raise BoundsTooTightError(
                     f"preorder table is not transitive at {a!r} -> {b!r} -> {c!r}; "
                     "widen bounds"
                 )

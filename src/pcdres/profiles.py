@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 
-from .finset import FinFun, FinSet, FormatError
+from .finset import FinFun, FinSet, FormatError, reject_unknown_fields
 
 
 class Profile:
@@ -170,6 +170,7 @@ def profile_to_dict(p: Profile) -> dict:
 def profile_from_dict(data: object) -> Profile:
     if not isinstance(data, dict) or "profile" not in data:
         raise FormatError("expected a JSON object with field 'profile'")
+    reject_unknown_fields(data, ("profile",))
     raw = data["profile"]
     if not isinstance(raw, dict):
         raise FormatError("field 'profile' must be an object of index -> count")

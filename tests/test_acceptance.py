@@ -11,7 +11,6 @@ import itertools
 from pcdres import (
     BUILTIN_MEASURES,
     NEGATIVE_CONTROLS,
-    FinSet,
     Profile,
     Relation,
     SearchBounds,
@@ -59,9 +58,7 @@ def _relations(max_size):
     for d in range(max_size + 1):
         for c in range(max_size + 1):
             for bits in itertools.product((False, True), repeat=d * c):
-                yield Relation(
-                    FinSet(d), FinSet(c), tuple(bits[x * c : (x + 1) * c] for x in range(d))
-                )
+                yield Relation.from_pairs(d, c, [divmod(k, c) for k, hit in enumerate(bits) if hit])
 
 
 def _oracle_agreement(number: int, variant: TheoryVariant) -> None:

@@ -7,9 +7,11 @@ and stderr.  One subprocess smoke test covers the module entry point.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from pcdres import relation_from_dict
 from pcdres.cli import main
 
 MERGE = '{"dom":2,"cod":1,"map":[0,0]}'
@@ -232,6 +234,52 @@ def test_check_witness_relational_rejects_tampering(capsys):
         f_text, g_text, json.dumps(w),
     )
     assert (code, out) == (1, "invalid\n")
+
+
+def test_unknown_field_exit_64(capsys):
+    code, out, err = run(
+        capsys, "decide", "--variant", "set-bij", "--inline",
+        '{"dom":1,"cod":1,"map":[0],"extra":1}', POINT,
+    )
+    assert (code, out) == (64, "")
+    assert "unknown field 'extra'" in err
+
+
+def test_preorder_table_too_tight_bounds_exit_65(capsys):
+    code, out, err = run(
+        capsys, "preorder-table", "--variant", "set-bij", "--size-limit", "2",
+        "--max-z", "0", "--max-c", "0", "--max-d", "1",
+    )
+    assert (code, out) == (65, "")
+    assert err.startswith("error: preorder table is not") and err.endswith("; widen bounds\n")
+
+
+def test_check_witness_relational_huge_empty_z(capsys):
+    # nothing bounds Z when f has no pairs; the replay must not build 1_Z
+    empty = '{"dom":0,"cod":0,"pairs":[]}'
+    w = f'{{"Z":{10**9},"xi1":{empty},"xi2":{empty},"j":{empty}}}'
+    code, out, _ = run(
+        capsys, "check-witness", "--variant", "rel-times", "--inline", empty, empty, w
+    )
+    assert (code, out) == (0, "valid\n")
+
+
+def test_large_sparse_relation_memory(capsys):
+    # a relation costs memory in its pairs, not in dom x cod
+    text = '{"dom":3000,"cod":3000,"pairs":[[0,0]]}'
+    data = json.loads(text)
+    tracemalloc.start()
+    try:
+        relation_from_dict(data)
+        _, decode_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        code, _, _ = run(capsys, "witness", "--variant", "rel-times", "--inline", text, text)
+        _, witness_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert decode_peak < 5 * 2**20
+    assert witness_peak < 5 * 2**20
 
 
 def test_module_entry_point():

@@ -39,9 +39,7 @@ def all_relations(max_size):
     for d in range(max_size + 1):
         for c in range(max_size + 1):
             for bits in itertools.product((False, True), repeat=d * c):
-                yield Relation(
-                    FinSet(d), FinSet(c), tuple(bits[x * c : (x + 1) * c] for x in range(d))
-                )
+                yield Relation.from_pairs(d, c, [divmod(k, c) for k, hit in enumerate(bits) if hit])
 
 
 # -- basic data --------------------------------------------------------------
@@ -164,11 +162,10 @@ def test_enumerate_all_functions_counts():
 def test_relation_construction():
     r = Relation.from_pairs(2, 2, [(0, 1), (1, 0)])
     assert r.pairs() == ((0, 1), (1, 0))
-    assert r.matrix == ((False, True), (True, False))
     with pytest.raises(ValueError):
         Relation.from_pairs(2, 2, [(2, 0)])
     with pytest.raises(ValueError):
-        Relation(FinSet(2), FinSet(1), ((True,),))  # wrong row count
+        Relation(FinSet(2), FinSet(1), frozenset({(0, 1)}))  # pair out of range
 
 
 def test_rel_compose_example():
@@ -221,6 +218,36 @@ def test_rel_product_interchange():
                     lhs = rel_product(rel_compose(s1, r1), rel_compose(s2, r2))
                     rhs = rel_compose(rel_product(s1, s2), rel_product(r1, r2))
                     assert lhs == rhs
+
+
+def _dense(r):
+    related = set(r.pairs())
+    return [[(x, y) in related for y in r.cod] for x in r.dom]
+
+
+def _from_dense(matrix, cod_size):
+    pairs = [(x, y) for x, row in enumerate(matrix) for y, hit in enumerate(row) if hit]
+    return Relation.from_pairs(len(matrix), cod_size, pairs)
+
+
+def test_sparse_operations_match_dense_reference():
+    # the boolean-matrix formulas, on every relation with dom, cod <= 2
+    rels = list(all_relations(2))
+    for r in rels:
+        for s in rels:
+            rm, sm = _dense(r), _dense(s)
+            product = [
+                [rm[x][y] and sm[a][b] for y in r.cod for b in s.cod]
+                for x in r.dom
+                for a in s.dom
+            ]
+            assert rel_product(r, s) == _from_dense(product, r.cod.size * s.cod.size)
+            if s.dom != r.cod:
+                continue
+            composite = [
+                [any(rm[x][y] and sm[y][z] for y in r.cod) for z in s.cod] for x in r.dom
+            ]
+            assert rel_compose(s, r) == _from_dense(composite, s.cod.size)
 
 
 def test_fun_graphs():

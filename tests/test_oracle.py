@@ -50,9 +50,7 @@ def all_relations(max_size):
     for d in range(max_size + 1):
         for c in range(max_size + 1):
             for bits in itertools.product((False, True), repeat=d * c):
-                yield Relation(
-                    FinSet(d), FinSet(c), tuple(bits[x * c : (x + 1) * c] for x in range(d))
-                )
+                yield Relation.from_pairs(d, c, [divmod(k, c) for k, hit in enumerate(bits) if hit])
 
 
 def test_search_bounds_validation():

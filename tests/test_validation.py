@@ -29,8 +29,11 @@ from pcdres import (
     finfun_from_dict,
     identity,
     oracle_convertible,
+    profile_from_dict,
     realize_profile,
+    relation_from_dict,
     witness,
+    witness_from_dict,
 )
 
 
@@ -173,3 +176,27 @@ def test_solve_discard_outputs_come_out_validated():
         assert split == FinFun.from_map([1, 0], 2)
         assert_as_validated(split)
     assert solved == 70 + 97
+
+
+FUN = {"dom": 1, "cod": 1, "map": [0]}
+
+
+@pytest.mark.parametrize(
+    "decode, data, message",
+    [
+        (finfun_from_dict, {**FUN, "extra": 1}, "unknown field 'extra'"),
+        (relation_from_dict, {"dom": 1, "cod": 1, "pairs": [], "map": [0]}, "unknown field 'map'"),
+        (witness_from_dict, {"Z": 0, "xi1": FUN, "xi2": FUN, "j": FUN, "k": 0}, "unknown field 'k'"),
+        (
+            witness_from_dict,
+            {"Z": 0, "xi1": FUN, "xi2": {**FUN, "extra": 1}, "j": FUN},
+            "field 'xi2': unknown field 'extra'",
+        ),
+        (profile_from_dict, {"profile": {}, "Profile": {}}, "unknown field 'Profile'"),
+    ],
+    ids=["finfun", "relation", "witness", "witness-part", "profile"],
+)
+def test_decoders_reject_unknown_fields(decode, data, message):
+    with pytest.raises(FormatError) as exc:
+        decode(data)
+    assert str(exc.value) == message
