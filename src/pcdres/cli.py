@@ -102,7 +102,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    variant = TheoryVariant(args.variant)
+    variant = THEORIES[args.variant]
     f, g = _load_pair(args, variant)
     if decide(variant, f, g):
         print("convertible")
@@ -133,7 +133,7 @@ def _cmd_check_witness(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    variant = TheoryVariant(args.variant)
+    variant = THEORIES[args.variant]
     f, g = _load_pair(args, variant)
     if equivalent(variant, f, g):
         print(_compact(profile_to_dict(normal_form(variant, f))))
@@ -173,7 +173,7 @@ def _cmd_preorder_table(args) -> int:
 
 
 def _cmd_monotone_check(args) -> int:
-    variant = TheoryVariant(args.variant)
+    variant = THEORIES[args.variant]
     names = args.measure or sorted(BUILTIN_MEASURES)
     ok = True
     for index, name in enumerate(names):
@@ -186,7 +186,7 @@ def _cmd_monotone_check(args) -> int:
 
 
 def _cmd_family_check(args) -> int:
-    variant = TheoryVariant(args.variant)
+    variant = THEORIES[args.variant]
     if args.measure:
         family = tuple(BUILTIN_MEASURES[name] for name in args.measure)
     else:

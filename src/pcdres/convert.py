@@ -18,9 +18,11 @@ tail profiles away from indices 0 and 1 is the criterion (injections can also
 invent fresh unhit outputs).  :func:`decide` applies the criterion;
 :func:`witness` builds an explicit ``(Z, xi1, xi2, j)`` tuple realizing it.
 
-:class:`FinSetCategory` holds the operations of finite functions under
-disjoint union, shared by :class:`TheoryVariant` and the oracle's set
-theories; :func:`check_witness` replays the equation in any theory.
+Each :class:`TheoryVariant` member is one whole theory: besides the
+criterion it carries the category operations, the wire format and the
+discarding solver that the brute-force search in :mod:`pcdres.oracle` runs.
+:class:`TheoryInstance` is the protocol every theory meets, and
+:func:`check_witness` replays the equation in any of them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .finset import (
     FinFun,
@@ -39,6 +42,7 @@ from .finset import (
     compose,
     disjoint_union,
     enumerate_bijections,
+    enumerate_functions,
     enumerate_injections,
     finfun_from_dict,
     finfun_to_dict,
@@ -56,10 +60,90 @@ class NotConvertibleError(ValueError):
     """Raised when a witness is requested for a pair that fails :func:`decide`."""
 
 
-class FinSetCategory:
-    """Finite sets and functions under disjoint union, and their wire format."""
+class TheoryInstance:
+    """Category operations plus a free subtheory, enough to run the search.
 
-    morphism_type = FinFun
+    The :class:`TheoryVariant` members and the oracle's relational theory
+    implement it; ``check_witness`` also reads ``morphism_type``, and the
+    command line calls ``witness(f, g)`` and the two ``*_from_dict`` decoders.
+    """
+
+    name: str
+    morphism_type: type
+
+    def compose(self, late, early):
+        raise NotImplementedError
+
+    def tensor(self, f, g):
+        raise NotImplementedError
+
+    def obj_tensor(self, x: FinSet, y: FinSet) -> FinSet:
+        raise NotImplementedError
+
+    def pad(self, f, z: FinSet):
+        """``f (x) 1_Z``, the process run beside an untouched auxiliary system."""
+        raise NotImplementedError
+
+    def morphisms(self, dom: FinSet, cod: FinSet):
+        """All processes of the theory between the given objects."""
+        raise NotImplementedError
+
+    def free_morphisms(self, dom: FinSet, cod: FinSet):
+        raise NotImplementedError
+
+    def is_free(self, m) -> bool:
+        raise NotImplementedError
+
+    def split_tensor(self, h, g, c_size: int, d_size: int):
+        """Recover ``j`` with ``h = g (x) j``, or None if ``h`` does not split."""
+        raise NotImplementedError
+
+    def solve_discard(self, m, g, c_size: int, max_d: int):
+        """Free ``xi2`` with ``xi2 . m = g (x) j`` for some ``j``, or None.
+
+        Default: enumerate free candidates for each junk codomain size.
+        """
+        for d in range(max_d + 1):
+            target = self.obj_tensor(g.cod, FinSet(d))
+            for xi2 in self.free_morphisms(m.cod, target):
+                h = self.compose(xi2, m)
+                j = self.split_tensor(h, g, c_size, d)
+                if j is not None:
+                    return xi2, j
+        return None
+
+
+class TheoryVariant(TheoryInstance, enum.Enum):
+    """Finite functions under disjoint union, with bijections or injections free.
+
+    Each member is the whole theory: its category operations and wire
+    format, its free morphisms, the profile criterion :func:`decide` applies,
+    and the discarding solver the oracle's search calls.
+    """
+
+    SET_BIJ = "set-bij"
+    SET_INJ = "set-inj"
+
+    @property
+    def name(self) -> str:
+        """The ``--variant`` name, which also keys ``oracle.THEORIES``."""
+        return self.value
+
+    @property
+    def morphism_type(self) -> type:
+        return FinFun
+
+    @property
+    def excluded_indices(self) -> frozenset[int]:
+        """Profile indices that free padding can change, hence carry no information."""
+        return frozenset({1}) if self is TheoryVariant.SET_BIJ else frozenset({0, 1})
+
+    def profile(self, f: FinFun) -> Profile:
+        """The classifying fiber statistic for this variant."""
+        return phi_profile(f) if self is TheoryVariant.SET_BIJ else gamma_profile(f)
+
+    def witness(self, f: FinFun, g: FinFun) -> Witness:
+        return witness(self, f, g)
 
     def compose(self, late: FinFun, early: FinFun) -> FinFun:
         return compose(late, early)
@@ -79,29 +163,102 @@ class FinSetCategory:
     def witness_from_dict(self, data: object) -> Witness:
         return witness_from_dict(data)
 
+    def morphisms(self, dom: FinSet, cod: FinSet) -> Iterator[FinFun]:
+        return enumerate_functions(dom, cod)
 
-class TheoryVariant(FinSetCategory, enum.Enum):
-    """Which free subtheory the conversion wiring may use."""
-
-    SET_BIJ = "set-bij"
-    SET_INJ = "set-inj"
-
-    @property
-    def excluded_indices(self) -> frozenset[int]:
-        """Profile indices that free padding can change, hence carry no information."""
-        return frozenset({1}) if self is TheoryVariant.SET_BIJ else frozenset({0, 1})
-
-    def profile(self, f: FinFun) -> Profile:
-        """The classifying fiber statistic for this variant."""
-        return phi_profile(f) if self is TheoryVariant.SET_BIJ else gamma_profile(f)
+    def free_morphisms(self, dom: FinSet | int, cod: FinSet | int) -> Iterator[FinFun]:
+        """The free morphisms ``dom -> cod`` in enumeration order, built once per shape."""
+        return iter(_free_funs(self, getattr(dom, "size", dom), getattr(cod, "size", cod)))
 
     def is_free(self, f: FinFun) -> bool:
         return is_bijection(f) if self is TheoryVariant.SET_BIJ else is_injection(f)
 
-    def free_morphisms(self, dom: FinSet | int, cod: FinSet | int) -> Iterator[FinFun]:
+    def split_tensor(self, h: FinFun, g: FinFun, c_size: int, d_size: int):
+        n_a, n_b = g.dom.size, g.cod.size
+        if h.dom.size != n_a + c_size or h.cod.size != n_b + d_size:
+            return None
+        if h.map[:n_a] != g.map:
+            return None
+        tail = h.map[n_a:]
+        if any(v < n_b for v in tail):
+            return None
+        return FinFun._trusted(FinSet(c_size), FinSet(d_size), tuple(v - n_b for v in tail))
+
+    def solve_discard(self, m: FinFun, g: FinFun, c_size: int, max_d: int):
+        # The equation pins xi2 pointwise on the image of m: points hit from
+        # the g-block must land exactly on g's output, points hit only from
+        # the junk block must land in the D-block, all others are free.
+        n_a, n_b = g.dom.size, g.cod.size
+        n_mid = m.cod.size
+        forced: dict[int, int] = {}
+        must_d: set[int] = set()
+        for i, t in enumerate(m.map):
+            if i < n_a:
+                b = g.map[i]
+                if t in must_d:
+                    return None
+                prev = forced.get(t)
+                if prev is None:
+                    forced[t] = b
+                elif prev != b:
+                    return None
+            else:
+                if t in forced:
+                    return None
+                must_d.add(t)
+        values = list(forced.values())
+        if len(set(values)) != len(values):
+            return None
         if self is TheoryVariant.SET_BIJ:
-            return enumerate_bijections(dom, cod)
-        return enumerate_injections(dom, cod)
+            d = n_mid - n_b
+            if d < 0 or d > max_d or len(must_d) > d:
+                return None
+        else:
+            d = max(0, n_mid - n_b, len(must_d))
+            if d > max_d:
+                return None
+        used = set(values)
+        free_d = d  # forced targets all sit in the g block
+        must_left = len(must_d)
+        xi2_map = [0] * n_mid
+        for t in range(n_mid):
+            if t in forced:
+                xi2_map[t] = forced[t]
+            elif t in must_d:
+                slot = next(v for v in range(n_b, n_b + d) if v not in used)
+                xi2_map[t] = slot
+                used.add(slot)
+                free_d -= 1
+                must_left -= 1
+            else:
+                choice = None
+                for v in range(n_b + d):
+                    if v in used:
+                        continue
+                    if v >= n_b and free_d - 1 < must_left:
+                        continue  # would starve a junk-block point still to come
+                    choice = v
+                    break
+                if choice is None:
+                    return None
+                xi2_map[t] = choice
+                used.add(choice)
+                if choice >= n_b:
+                    free_d -= 1
+        xi2 = FinFun._trusted(m.cod, FinSet(n_b + d), tuple(xi2_map))
+        j = FinFun._trusted(
+            FinSet(c_size),
+            FinSet(d),
+            tuple(xi2_map[m.map[n_a + i]] - n_b for i in range(c_size)),
+        )
+        return xi2, j
+
+
+@lru_cache(maxsize=None)
+def _free_funs(variant: TheoryVariant, dom_size: int, cod_size: int) -> tuple[FinFun, ...]:
+    if variant is TheoryVariant.SET_BIJ:
+        return tuple(enumerate_bijections(dom_size, cod_size))
+    return tuple(enumerate_injections(dom_size, cod_size))
 
 
 @dataclass(frozen=True)
@@ -272,7 +429,7 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
 def check_witness(theory, f, g, w: Witness) -> bool:
     """Replay ``xi2 . (f (x) 1_Z) . xi1 = g (x) j``; False on any malformed or failing part.
 
-    ``theory`` is a :class:`TheoryVariant` or an oracle theory such as
+    ``theory`` is a :class:`TheoryVariant` member or the oracle's
     ``REL_TIMES_THEORY``; the equation is replayed through its operations.
     """
     parts = (w.xi1, w.xi2, w.j)

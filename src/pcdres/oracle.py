@@ -13,10 +13,11 @@ the main correctness evidence for both.
 The search scans ``Z`` ascending, then ``C``, then ``xi1`` in enumeration
 order; for each ``xi1`` the discarding side is resolved with the smallest
 feasible ``D`` and the lexicographically least ``xi2``, so the returned
-witness is the first one in that fixed order.  Function-based theories solve
-for ``xi2`` by constraint propagation (each point of ``cod(f) + Z`` has at
-most one admissible image, forced by the equation); the relational theory
-falls back to plain enumeration of free morphisms.
+witness is the first one in that fixed order.  The set theories are the
+:class:`~pcdres.convert.TheoryVariant` members themselves; they solve for
+``xi2`` by constraint propagation (each point of ``cod(f) + Z`` has at most
+one admissible image, forced by the equation).  The relational theory falls
+back to plain enumeration of free morphisms.
 
 Everything here also works for the relational theory over cartesian
 products, whose free morphisms are graphs of functions.  That theory orders
@@ -33,7 +34,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .convert import FinSetCategory, TheoryVariant, Witness, witness, witness_from_dict
+from .convert import TheoryInstance, TheoryVariant, Witness, witness_from_dict
 from .finset import (
     FinFun,
     FinSet,
@@ -80,165 +81,8 @@ def default_bounds(f, g) -> SearchBounds:
 
 
 @lru_cache(maxsize=None)
-def _free_funs(variant: TheoryVariant, dom_size: int, cod_size: int) -> tuple[FinFun, ...]:
-    return tuple(variant.free_morphisms(dom_size, cod_size))
-
-
-@lru_cache(maxsize=None)
 def _fun_graphs(dom_size: int, cod_size: int) -> tuple[Relation, ...]:
     return tuple(rel_of_fun(f) for f in enumerate_functions(dom_size, cod_size))
-
-
-class TheoryInstance:
-    """Category operations plus a free subtheory, enough to run the search.
-
-    ``check_witness`` also reads ``morphism_type``; the command line calls
-    ``witness(f, g)``, ``morphism_from_dict`` and ``witness_from_dict``.
-    """
-
-    name: str
-    morphism_type: type
-
-    def compose(self, late, early):
-        raise NotImplementedError
-
-    def tensor(self, f, g):
-        raise NotImplementedError
-
-    def obj_tensor(self, x: FinSet, y: FinSet) -> FinSet:
-        raise NotImplementedError
-
-    def pad(self, f, z: FinSet):
-        """``f (x) 1_Z``, the process run beside an untouched auxiliary system."""
-        raise NotImplementedError
-
-    def morphisms(self, dom: FinSet, cod: FinSet):
-        """All processes of the theory between the given objects."""
-        raise NotImplementedError
-
-    def free_morphisms(self, dom: FinSet, cod: FinSet):
-        raise NotImplementedError
-
-    def is_free(self, m) -> bool:
-        raise NotImplementedError
-
-    def split_tensor(self, h, g, c_size: int, d_size: int):
-        """Recover ``j`` with ``h = g (x) j``, or None if ``h`` does not split."""
-        raise NotImplementedError
-
-    def solve_discard(self, m, g, c_size: int, max_d: int):
-        """Free ``xi2`` with ``xi2 . m = g (x) j`` for some ``j``, or None.
-
-        Default: enumerate free candidates for each junk codomain size.
-        """
-        for d in range(max_d + 1):
-            target = self.obj_tensor(g.cod, FinSet(d))
-            for xi2 in self.free_morphisms(m.cod, target):
-                h = self.compose(xi2, m)
-                j = self.split_tensor(h, g, c_size, d)
-                if j is not None:
-                    return xi2, j
-        return None
-
-
-class SetTheory(FinSetCategory, TheoryInstance):
-    """Finite functions under disjoint union, with bijections or injections free."""
-
-    def __init__(self, variant: TheoryVariant) -> None:
-        self.variant = variant
-        self.name = variant.value
-
-    def witness(self, f: FinFun, g: FinFun) -> Witness:
-        return witness(self.variant, f, g)
-
-    def morphisms(self, dom: FinSet, cod: FinSet):
-        return enumerate_functions(dom, cod)
-
-    def free_morphisms(self, dom: FinSet, cod: FinSet):
-        return iter(_free_funs(self.variant, dom.size, cod.size))
-
-    def is_free(self, m: FinFun) -> bool:
-        return self.variant.is_free(m)
-
-    def split_tensor(self, h: FinFun, g: FinFun, c_size: int, d_size: int):
-        n_a, n_b = g.dom.size, g.cod.size
-        if h.dom.size != n_a + c_size or h.cod.size != n_b + d_size:
-            return None
-        if h.map[:n_a] != g.map:
-            return None
-        tail = h.map[n_a:]
-        if any(v < n_b for v in tail):
-            return None
-        return FinFun._trusted(FinSet(c_size), FinSet(d_size), tuple(v - n_b for v in tail))
-
-    def solve_discard(self, m: FinFun, g: FinFun, c_size: int, max_d: int):
-        # The equation pins xi2 pointwise on the image of m: points hit from
-        # the g-block must land exactly on g's output, points hit only from
-        # the junk block must land in the D-block, all others are free.
-        n_a, n_b = g.dom.size, g.cod.size
-        n_mid = m.cod.size
-        forced: dict[int, int] = {}
-        must_d: set[int] = set()
-        for i, t in enumerate(m.map):
-            if i < n_a:
-                b = g.map[i]
-                if t in must_d:
-                    return None
-                prev = forced.get(t)
-                if prev is None:
-                    forced[t] = b
-                elif prev != b:
-                    return None
-            else:
-                if t in forced:
-                    return None
-                must_d.add(t)
-        values = list(forced.values())
-        if len(set(values)) != len(values):
-            return None
-        if self.variant is TheoryVariant.SET_BIJ:
-            d = n_mid - n_b
-            if d < 0 or d > max_d or len(must_d) > d:
-                return None
-        else:
-            d = max(0, n_mid - n_b, len(must_d))
-            if d > max_d:
-                return None
-        used = set(values)
-        free_d = d  # forced targets all sit in the g block
-        must_left = len(must_d)
-        xi2_map = [0] * n_mid
-        for t in range(n_mid):
-            if t in forced:
-                xi2_map[t] = forced[t]
-            elif t in must_d:
-                slot = next(v for v in range(n_b, n_b + d) if v not in used)
-                xi2_map[t] = slot
-                used.add(slot)
-                free_d -= 1
-                must_left -= 1
-            else:
-                choice = None
-                for v in range(n_b + d):
-                    if v in used:
-                        continue
-                    if v >= n_b and free_d - 1 < must_left:
-                        continue  # would starve a junk-block point still to come
-                    choice = v
-                    break
-                if choice is None:
-                    return None
-                xi2_map[t] = choice
-                used.add(choice)
-                if choice >= n_b:
-                    free_d -= 1
-        xi2 = FinFun._trusted(m.cod, FinSet(n_b + d), tuple(xi2_map))
-        j = FinFun._trusted(
-            FinSet(c_size),
-            FinSet(d),
-            tuple(xi2_map[m.map[n_a + i]] - n_b for i in range(c_size)),
-        )
-        return xi2, j
 
 
 class RelTimesTheory(TheoryInstance):
@@ -288,18 +132,22 @@ class RelTimesTheory(TheoryInstance):
         return j if rel_product(g, j) == h else None
 
 
-SET_BIJ_THEORY = SetTheory(TheoryVariant.SET_BIJ)
-SET_INJ_THEORY = SetTheory(TheoryVariant.SET_INJ)
+SET_BIJ_THEORY = TheoryVariant.SET_BIJ
+SET_INJ_THEORY = TheoryVariant.SET_INJ
 REL_TIMES_THEORY = RelTimesTheory()
 
+# The set theories' former class name; perfbench/tracer.py still wraps
+# ``SetTheory.solve_discard`` under it.
+SetTheory = TheoryVariant
 
 THEORIES: dict[str, TheoryInstance] = {
     t.name: t for t in (SET_BIJ_THEORY, SET_INJ_THEORY, REL_TIMES_THEORY)
 }
 
 
-def theory_for(variant: TheoryVariant) -> SetTheory:
-    return THEORIES[variant.value]
+def theory_for(variant: TheoryVariant) -> TheoryVariant:
+    """The theory of ``variant``, which is the member itself."""
+    return variant
 
 
 def oracle_convertible(
@@ -327,14 +175,13 @@ def relx_convert(f: Relation, g: Relation) -> Witness:
 
     Pad with a one-point system, feed ``g`` nothing (its domain is crushed by
     the empty junk input), and discard all of ``f``'s output through a
-    constant map.  Requires a function from ``cod(f)`` to ``cod(g)`` to
-    exist, i.e. ``g`` has an output point or ``f`` has none.
+    constant map.  When no such map exists (``g`` has no output point but
+    ``f`` has one), the all-empty witness ``Z = C = D = 0`` serves: every
+    part of the equation is then the empty relation on the empty set.
     """
     if g.cod.size == 0 and f.cod.size > 0:
-        raise ValueError(
-            "precondition failed: g has empty codomain but f does not, "
-            "so no constant discarding map exists"
-        )
+        empty = Relation.from_pairs(0, 0, ())
+        return Witness(FinSet(0), empty, empty, empty)
     xi1 = Relation.from_pairs(0, f.dom.size, ())
     xi2 = rel_of_fun(FinFun._trusted(f.cod, g.cod, (0,) * f.cod.size))
     j = Relation.from_pairs(0, 1, ())

@@ -18,6 +18,8 @@ from pcdres import (
     decide,
     disjoint_union,
     enumerate_all_functions,
+    enumerate_bijections,
+    enumerate_injections,
     equivalent,
     identity,
     normal_form,
@@ -47,6 +49,21 @@ def test_variant_plumbing():
     assert not BIJ.is_free(drop) and INJ.is_free(drop)
     assert len(list(BIJ.free_morphisms(2, 2))) == 2
     assert len(list(INJ.free_morphisms(2, 3))) == 6
+
+
+@pytest.mark.parametrize(
+    "variant, enumerate_free",
+    [(BIJ, enumerate_bijections), (INJ, enumerate_injections)],
+    ids=["set-bij", "set-inj"],
+)
+def test_free_morphisms_match_enumeration(variant, enumerate_free):
+    # cached per shape, but the same sequence whether sizes come as ints or sets
+    for d in range(4):
+        for c in range(4):
+            expected = list(enumerate_free(d, c))
+            assert list(variant.free_morphisms(d, c)) == expected
+            assert list(variant.free_morphisms(FinSet(d), FinSet(c))) == expected
+            assert list(variant.free_morphisms(FinSet(d), c)) == expected
 
 
 def test_normal_form_examples():
