@@ -282,8 +282,8 @@ def decide(variant: TheoryVariant, f: FinFun, g: FinFun) -> bool:
 
 
 def equivalent(variant: TheoryVariant, f: FinFun, g: FinFun) -> bool:
-    """Mutual convertibility; equivalently, equality of normal forms."""
-    return decide(variant, f, g) and decide(variant, g, f)
+    """Mutual convertibility, which is equality of normal forms."""
+    return normal_form(variant, f) == normal_form(variant, g)
 
 
 def representative(variant: TheoryVariant, form: Profile) -> FinFun:
@@ -296,9 +296,7 @@ def representative(variant: TheoryVariant, form: Profile) -> FinFun:
     bad = set(form.support) & set(variant.excluded_indices)
     if bad:
         raise ValueError(f"normal form may not mention excluded indices {sorted(bad)}")
-    if variant is TheoryVariant.SET_BIJ:
-        return realize_profile(form)
-    if not form.support:
+    if variant is TheoryVariant.SET_BIJ or not form.support:
         return realize_profile(form)
     multiplicities: dict[int, int] = {}
     for i in range(2, max(form.support) + 1):
@@ -312,89 +310,45 @@ def representative(variant: TheoryVariant, form: Profile) -> FinFun:
     return realize_profile(Profile(multiplicities))
 
 
-def _order_by_fiber_size(sizes: list[int], descending: bool) -> list[int]:
-    """Codomain points by fiber size, ties by lowest index (a counting sort)."""
-    buckets: list[list[int]] = [[] for _ in range(max(sizes, default=0) + 1)]
-    for y, size in enumerate(sizes):
-        buckets[size].append(y)
-    if descending:
-        buckets.reverse()
-    return [y for bucket in buckets for y in bucket]
-
-
-def _match_fibers(
-    f_sizes: list[int], g_sizes: list[int], descending: bool
-) -> list[int]:
-    """Pair codomain points of ``F`` and ``G`` fiber by fiber.
-
-    Takes the fiber sizes of both and returns ``xi2_map``, which sends each
-    codomain point of ``F`` to its partner in ``G``.  Ordering is by fiber
-    size (ties by lowest index) so the pairing is deterministic.
-    """
-    xi2_map = [0] * len(f_sizes)
-    f_order = _order_by_fiber_size(f_sizes, descending)
-    g_order = _order_by_fiber_size(g_sizes, descending)
-    for y, b in zip(f_order, g_order):
-        xi2_map[y] = b
-    return xi2_map
-
-
-def _route_inputs(
-    F: FinFun, G: FinFun, f_sizes: list[int], xi2_map: list[int]
-) -> list[int]:
-    """Pick ``xi1`` sending each input of ``G`` into the matched fiber of ``F``.
-
-    Within a fiber the least not-yet-used preimage is taken, so the result is
-    deterministic and injective.
-    """
-    # stable counting sort of F's domain by fiber: the preimages of y, in
-    # ascending order, start at by_fiber[next_free[y]]
-    next_free = list(itertools.accumulate(f_sizes, initial=0))
-    cursor = next_free.copy()
-    by_fiber = [0] * F.dom.size
-    for x, y in enumerate(F.map):
-        by_fiber[cursor[y]] = x
-        cursor[y] += 1
-    xi2_inverse = [0] * len(xi2_map)
-    for y, b in enumerate(xi2_map):
-        xi2_inverse[b] = y
-    xi1_map = []
-    for b in G.map:
-        y = xi2_inverse[b]
-        xi1_map.append(by_fiber[next_free[y]])
-        next_free[y] += 1
-    return xi1_map
-
-
 def _wiring(f, g, f_sizes, g_sizes, z: FinSet, j: FinFun, descending: bool) -> Witness:
     """The witness wiring ``F = f + 1_Z`` to ``G = g + j``, matching fibers by size.
 
-    ``f_sizes`` and ``g_sizes`` are the fiber sizes of ``f`` and ``g``.
+    ``f_sizes`` and ``g_sizes`` are the fiber sizes of ``f`` and ``g``.  ``xi2``
+    pairs the codomain points of ``F`` and ``G`` in order of fiber size, and
+    ``xi1`` sends each input of ``G`` to the least unused input of ``F`` in the
+    partner fiber.  The sorts are stable, so ties go to the lowest index.
     """
     F = disjoint_union(f, identity(z))
     G = disjoint_union(g, j)
     F_sizes = f_sizes + [1] * z.size
-    xi2_map = _match_fibers(F_sizes, g_sizes + fiber_sizes(j), descending)
-    xi1_map = _route_inputs(F, G, F_sizes, xi2_map)
+    G_sizes = g_sizes + fiber_sizes(j)
+    f_order = sorted(range(F.cod.size), key=F_sizes.__getitem__, reverse=descending)
+    g_order = sorted(range(G.cod.size), key=G_sizes.__getitem__, reverse=descending)
+    start = list(itertools.accumulate(F_sizes, initial=0))  # fiber y's first slot in by_fiber
+    xi2_map = [0] * F.cod.size
+    next_free = [0] * G.cod.size  # the next unused slot of b's partner fiber
+    for y, b in zip(f_order, g_order):
+        xi2_map[y] = b
+        next_free[b] = start[y]
+    del f_order, g_order, start  # freed before the domain sort, to keep peak memory down
+    # F's inputs grouped by fiber, ascending within each
+    by_fiber = sorted(range(F.dom.size), key=F.map.__getitem__)
+    xi1_map = []
+    for b in G.map:
+        xi1_map.append(by_fiber[next_free[b]])
+        next_free[b] += 1
     xi1 = FinFun._trusted(G.dom, F.dom, tuple(xi1_map))
     xi2 = FinFun._trusted(F.cod, G.cod, tuple(xi2_map))
     return Witness(z, xi1, xi2, j)
 
 
 def _witness_bij(f: FinFun, g: FinFun, f_sizes: list[int], g_sizes: list[int]) -> Witness:
-    phi_f, phi_g = Profile(Counter(f_sizes)), Profile(Counter(g_sizes))
-    deficit = {
-        i: phi_f[i] - phi_g[i]
-        for i in set(phi_f.support) | set(phi_g.support)
-    }
-    if deficit.get(1, 0) >= 0:
-        z = FinSet(0)
-        j = realize_profile(Profile(deficit))
-    else:
-        # not enough singleton fibers in f: pad with exactly the identities missing
-        z = FinSet(phi_g[1] - phi_f[1])
-        j = realize_profile(Profile({i: n for i, n in deficit.items() if i != 1}))
-    return _wiring(f, g, f_sizes, g_sizes, z, j, descending=False)
+    surplus = Counter(f_sizes)
+    surplus.subtract(g_sizes)
+    z = max(0, -surplus[1])
+    surplus[1] += z
+    j = realize_profile(Profile._trusted({i: n for i, n in sorted(surplus.items()) if n}))
+    return _wiring(f, g, f_sizes, g_sizes, FinSet(z), j, descending=False)
 
 
 def _witness_inj(f: FinFun, g: FinFun, f_sizes: list[int], g_sizes: list[int]) -> Witness:

@@ -132,8 +132,6 @@ class RelTimesTheory(TheoryInstance):
         return j if rel_product(g, j) == h else None
 
 
-SET_BIJ_THEORY = TheoryVariant.SET_BIJ
-SET_INJ_THEORY = TheoryVariant.SET_INJ
 REL_TIMES_THEORY = RelTimesTheory()
 
 # The set theories' former class name; perfbench/tracer.py still wraps
@@ -141,7 +139,7 @@ REL_TIMES_THEORY = RelTimesTheory()
 SetTheory = TheoryVariant
 
 THEORIES: dict[str, TheoryInstance] = {
-    t.name: t for t in (SET_BIJ_THEORY, SET_INJ_THEORY, REL_TIMES_THEORY)
+    t.name: t for t in (*TheoryVariant, REL_TIMES_THEORY)
 }
 
 

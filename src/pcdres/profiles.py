@@ -9,6 +9,12 @@ as conversion invariants.
 Profiles are stored sparsely: an absent index means count zero, and a stored
 count is never zero.  Addition and the pointwise order are the vector
 operations on finitely supported sequences.
+
+``Profile(...)`` and :func:`profile_from_dict` validate every entry; the
+profiles the library builds (fiber counts, sums, restrictions, witness
+surpluses) are normal by construction and skip that through the private
+``Profile._trusted``.  Counting fibers costs memory linear in ``dom``,
+however large ``cod`` is.
 """
 
 from __future__ import annotations
@@ -39,6 +45,16 @@ class Profile:
         # keep insertion order sorted so iteration and repr are deterministic
         object.__setattr__(self, "_counts", dict(sorted(acc.items())))
 
+    @classmethod
+    def _trusted(cls, counts: dict[int, int]) -> Profile:
+        """Build without validation, for counts that are normal by construction.
+
+        ``counts`` must map ascending natural indices to positive counts.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "_counts", counts)
+        return p
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Profile is immutable")
 
@@ -49,10 +65,8 @@ class Profile:
         return iter(self._counts)
 
     def __len__(self) -> int:
+        """The support size; also the truth value, so the empty profile is falsy."""
         return len(self._counts)
-
-    def __bool__(self) -> bool:
-        return bool(self._counts)
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._counts.items())
@@ -66,25 +80,21 @@ class Profile:
             return NotImplemented
         merged = Counter(self._counts)
         merged.update(other._counts)
-        return Profile(merged)
+        return Profile._trusted(dict(sorted(merged.items())))
 
     def __ge__(self, other: Profile) -> bool:
-        """Pointwise dominance over the union of supports."""
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return all(
-            self[i] >= other[i] for i in set(self._counts) | set(other._counts)
-        )
+        """Pointwise dominance (``<=`` is its reflection).
 
-    def __le__(self, other: Profile) -> bool:
+        Counts are never negative, so only ``other``'s support needs checking.
+        """
         if not isinstance(other, Profile):
             return NotImplemented
-        return other.__ge__(self)
+        return all(self._counts.get(i, 0) >= n for i, n in other._counts.items())
 
     def restrict(self, excluded: Iterable[int]) -> Profile:
         """Drop the given indices; the rest of the profile is unchanged."""
         excluded = frozenset(excluded)
-        return Profile({i: n for i, n in self._counts.items() if i not in excluded})
+        return Profile._trusted({i: n for i, n in self._counts.items() if i not in excluded})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Profile):
@@ -106,6 +116,21 @@ def fiber_sizes(f: FinFun) -> list[int]:
     return sizes
 
 
+def _size_counts(f: FinFun) -> Counter[int]:
+    """How many codomain points have each fiber size, in memory linear in ``dom``.
+
+    A codomain up to twice the domain is counted through :func:`fiber_sizes`,
+    the fastest count; a larger one from its hit points, with the unhit
+    points added at index 0 in one step.
+    """
+    if f.cod.size <= 2 * f.dom.size:
+        return Counter(fiber_sizes(f))
+    hits = Counter(f.map)
+    counts = Counter(hits.values())
+    counts[0] = f.cod.size - len(hits)
+    return counts
+
+
 def phi_profile(f: FinFun) -> Profile:
     """Multiplicity profile: index ``i`` counts codomain points with ``i`` preimages.
 
@@ -115,7 +140,7 @@ def phi_profile(f: FinFun) -> Profile:
     >>> phi_profile(FinFun.from_map([0, 0, 1], 2))
     Profile({1: 1, 2: 1})
     """
-    return Profile(Counter(fiber_sizes(f)))
+    return Profile._trusted(dict(sorted(_size_counts(f).items())))
 
 
 def gamma_profile(f: FinFun) -> Profile:
@@ -127,16 +152,13 @@ def gamma_profile(f: FinFun) -> Profile:
     >>> gamma_profile(identity_like := FinFun.from_map([0, 1], 2))
     Profile({0: 2, 1: 2})
     """
-    sizes = fiber_sizes(f)
-    if not sizes:
-        return Profile()
-    by_size = Counter(sizes)
+    by_size = _size_counts(f)
     tail: dict[int, int] = {}
-    running = 0
-    for i in range(max(sizes), -1, -1):
-        running += by_size.get(i, 0)
-        tail[i] = running
-    return Profile(tail)
+    at_least = f.cod.size
+    for i in range(max(by_size, default=-1) + 1):
+        tail[i] = at_least
+        at_least -= by_size[i]
+    return Profile._trusted(tail)
 
 
 def realize_profile(profile: Profile) -> FinFun:
@@ -181,4 +203,4 @@ def profile_from_dict(data: object) -> Profile:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise FormatError(f"field 'profile[{key}]' must be a non-negative integer")
         counts[int(key)] = counts.get(int(key), 0) + value
-    return Profile(counts)
+    return Profile._trusted({i: n for i, n in sorted(counts.items()) if n})

@@ -285,6 +285,42 @@ def test_large_sparse_relation_memory(capsys):
     assert witness_peak < 5 * 2**20
 
 
+HUGE_COD = '{"dom":1,"cod":1000000000,"map":[0]}'
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["profile", "--inline", HUGE_COD],
+            'phi {"profile":{"0":999999999,"1":1}}\n'
+            'gamma {"profile":{"0":1000000000,"1":1}}\n',
+        ),
+        (["decide", "--variant", "set-bij", "--inline", HUGE_COD, HUGE_COD], "convertible\n"),
+        (
+            ["decide", "--variant", "set-inj", "--inline", HUGE_COD, '{"dom":0,"cod":0,"map":[]}'],
+            "convertible\n",
+        ),
+        (
+            ["equiv", "--variant", "set-bij", "--inline", HUGE_COD, HUGE_COD],
+            '{"profile":{"0":999999999}}\n',
+        ),
+        (["equiv", "--variant", "set-inj", "--inline", HUGE_COD, HUGE_COD], '{"profile":{}}\n'),
+    ],
+    ids=["profile", "decide-bij", "decide-inj", "equiv-bij", "equiv-inj"],
+)
+def test_huge_codomain_costs_memory_in_domain(capsys, argv, expected):
+    # a huge codomain is counted from its hit points, never with a list as long as cod
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, expected, "")
+    assert peak < 2 * 2**20
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pcdres", "decide", "--variant", "set-inj",

@@ -1,5 +1,7 @@
 """Decision procedure, normal forms, and constructive witnesses."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from pcdres import (
     equivalent,
     identity,
     normal_form,
+    realize_profile,
     relx_convert,
     representative,
     theory_for,
@@ -30,6 +33,7 @@ from pcdres import (
     witness_from_dict,
     witness_to_dict,
 )
+from pcdres.profiles import fiber_sizes
 
 BIJ = TheoryVariant.SET_BIJ
 INJ = TheoryVariant.SET_INJ
@@ -338,6 +342,63 @@ def test_witness_sound_on_random_functions(pair):
     for variant in (BIJ, INJ):
         assert decide(variant, f, g)
         assert check_witness(variant, f, g, witness(variant, f, g))
+
+
+def _counting_sort_witness(variant, f, g):
+    """A reference copy of the witness construction with counting-sort wiring.
+
+    Codomain points are bucketed by fiber size (ties by lowest index) and
+    paired bucket by bucket; each input of ``g + j`` takes the least unused
+    preimage in its partner fiber of ``f + 1_Z``.
+    """
+    f_sizes, g_sizes = fiber_sizes(f), fiber_sizes(g)
+    if variant is BIJ:
+        phi_f, phi_g = Counter(f_sizes), Counter(g_sizes)
+        surplus = {i: phi_f[i] - phi_g[i] for i in set(phi_f) | set(phi_g)}
+        z = max(0, -surplus.get(1, 0))
+        if z:
+            surplus[1] = 0
+        j = realize_profile(Profile(surplus))
+    else:
+        hit_f = len(f_sizes) - f_sizes.count(0)
+        hit_g = len(g_sizes) - g_sizes.count(0)
+        z = max(0, g.cod.size - f.cod.size, hit_g - hit_f)
+        j = FinFun(FinSet(0), FinSet(f.cod.size + z - g.cod.size), [])
+    F, G = disjoint_union(f, identity(z)), disjoint_union(g, j)
+
+    def by_size(sizes):
+        buckets = [[] for _ in range(max(sizes, default=0) + 1)]
+        for y, size in enumerate(sizes):
+            buckets[size].append(y)
+        if variant is INJ:
+            buckets.reverse()
+        return [y for bucket in buckets for y in bucket]
+
+    xi2_map = [0] * F.cod.size
+    for y, b in zip(by_size(f_sizes + [1] * z), by_size(g_sizes + fiber_sizes(j))):
+        xi2_map[y] = b
+    partner = {b: y for y, b in enumerate(xi2_map)}
+    preimages = [[] for _ in range(F.cod.size)]
+    for x, y in enumerate(F.map):
+        preimages[y].append(x)
+    used = [0] * F.cod.size
+    xi1_map = []
+    for b in G.map:
+        y = partner[b]
+        xi1_map.append(preimages[y][used[y]])
+        used[y] += 1
+    return Witness(
+        FinSet(z), FinFun(G.dom, F.dom, xi1_map), FinFun(F.cod, G.cod, xi2_map), j
+    )
+
+
+@settings(max_examples=60)
+@given(st.one_of(convertible_pairs(), st.tuples(functions(min_dom=0), functions(min_dom=0))))
+def test_witness_matches_counting_sort_reference(pair):
+    f, g = pair
+    for variant in (BIJ, INJ):
+        if decide(variant, f, g):
+            assert witness(variant, f, g) == _counting_sort_witness(variant, f, g)
 
 
 def _swap(m, a, b):

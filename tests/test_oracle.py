@@ -27,12 +27,7 @@ from pcdres import (
     theory_for,
 )
 from pcdres import check_witness as verify_witness
-from pcdres.oracle import (
-    REL_TIMES_THEORY,
-    SET_BIJ_THEORY,
-    SET_INJ_THEORY,
-    TheoryInstance,
-)
+from pcdres.oracle import REL_TIMES_THEORY, TheoryInstance
 
 MERGE = FinFun.from_map([0, 0], 1)
 POINT = FinFun.from_map([0], 1)
@@ -60,8 +55,6 @@ def all_relations(max_size):
 
 
 def test_each_set_variant_is_its_own_theory():
-    assert SET_BIJ_THEORY is TheoryVariant.SET_BIJ
-    assert SET_INJ_THEORY is TheoryVariant.SET_INJ
     for v in TheoryVariant:
         assert theory_for(v) is v is THEORIES[v.value]
         assert v.name == v.value
@@ -77,7 +70,7 @@ def test_search_bounds_validation():
 
 
 def test_oracle_finds_the_worked_example_witness():
-    w = oracle_convertible(SET_BIJ_THEORY, MERGE, POINT)
+    w = oracle_convertible(TheoryVariant.SET_BIJ, MERGE, POINT)
     # first witness in scan order (Z, C, xi1, smallest D, least xi2); it happens
     # to coincide with the constructive one
     assert w == Witness(
@@ -86,18 +79,18 @@ def test_oracle_finds_the_worked_example_witness():
         FinFun(FinSet(2), FinSet(2), (1, 0)),
         FinFun(FinSet(2), FinSet(1), (0, 0)),
     )
-    assert verify_witness(SET_BIJ_THEORY, MERGE, POINT, w)
+    assert verify_witness(TheoryVariant.SET_BIJ, MERGE, POINT, w)
 
 
 def test_oracle_misses_impossible_conversions():
-    assert oracle_convertible(SET_BIJ_THEORY, POINT, MERGE) is None
-    assert oracle_convertible(SET_INJ_THEORY, POINT, MERGE) is None
+    assert oracle_convertible(TheoryVariant.SET_BIJ, POINT, MERGE) is None
+    assert oracle_convertible(TheoryVariant.SET_INJ, POINT, MERGE) is None
 
 
 def test_oracle_respects_bounds():
     # the worked example needs one auxiliary point; forbid it and the search fails
     tight = SearchBounds(0, 5, 5)
-    assert oracle_convertible(SET_BIJ_THEORY, MERGE, POINT, tight) is None
+    assert oracle_convertible(TheoryVariant.SET_BIJ, MERGE, POINT, tight) is None
 
 
 def test_oracle_agrees_with_decide_exhaustively():
@@ -132,41 +125,41 @@ def test_propagation_matches_plain_enumeration():
 
 
 def test_verify_witness_rejects_tampering():
-    w = oracle_convertible(SET_BIJ_THEORY, MERGE, POINT)
-    assert verify_witness(SET_BIJ_THEORY, MERGE, POINT, w)
+    w = oracle_convertible(TheoryVariant.SET_BIJ, MERGE, POINT)
+    assert verify_witness(TheoryVariant.SET_BIJ, MERGE, POINT, w)
     bad_aux = Witness(FinSet(2), w.xi1, w.xi2, w.j)
-    assert not verify_witness(SET_BIJ_THEORY, MERGE, POINT, bad_aux)
+    assert not verify_witness(TheoryVariant.SET_BIJ, MERGE, POINT, bad_aux)
     not_free = Witness(w.Z, w.xi1, FinFun(FinSet(2), FinSet(2), (0, 0)), w.j)
-    assert not verify_witness(SET_BIJ_THEORY, MERGE, POINT, not_free)
+    assert not verify_witness(TheoryVariant.SET_BIJ, MERGE, POINT, not_free)
     wrong_eq = Witness(w.Z, w.xi1, FinFun(FinSet(2), FinSet(2), (0, 1)), w.j)
-    assert not verify_witness(SET_BIJ_THEORY, MERGE, POINT, wrong_eq)
+    assert not verify_witness(TheoryVariant.SET_BIJ, MERGE, POINT, wrong_eq)
 
 
 # -- preorder tables ---------------------------------------------------------
 
 
 def test_preorder_table_matches_decide():
-    table = preorder_table(SET_BIJ_THEORY, 2, SearchBounds(2, 4, 4))
+    table = preorder_table(TheoryVariant.SET_BIJ, 2, SearchBounds(2, 4, 4))
     assert len(table) == 70
     for f, g in table:
         assert decide(TheoryVariant.SET_BIJ, f, g)
 
 
 def test_preorder_table_size_one():
-    assert len(preorder_table(SET_BIJ_THEORY, 1)) == 7
+    assert len(preorder_table(TheoryVariant.SET_BIJ, 1)) == 7
     # with injections free an unhit output is disposable, so all three
     # morphisms up to size 1 collapse into one class
-    assert len(preorder_table(SET_INJ_THEORY, 1)) == 9
+    assert len(preorder_table(TheoryVariant.SET_INJ, 1)) == 9
 
 
 def test_preorder_table_raises_on_tight_bounds():
     # bounds that admit two legs of a composite conversion but not the composite
     with pytest.raises(RuntimeError, match="not transitive"):
-        preorder_table(SET_BIJ_THEORY, 2, SearchBounds(1, 2, 1))
+        preorder_table(TheoryVariant.SET_BIJ, 2, SearchBounds(1, 2, 1))
 
 
 def test_preorder_lines_format():
-    lines = preorder_lines(preorder_table(SET_BIJ_THEORY, 1))
+    lines = preorder_lines(preorder_table(TheoryVariant.SET_BIJ, 1))
     assert len(lines) == 7
     assert lines[0] == '{"dom":0,"cod":0,"map":[]} >= {"dom":0,"cod":0,"map":[]}'
     assert lines[-1] == '{"dom":1,"cod":1,"map":[0]} >= {"dom":1,"cod":1,"map":[0]}'

@@ -1,5 +1,7 @@
 """Fiber statistics: multiplicity and tail profiles and their algebra."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,6 +89,13 @@ def test_profile_examples():
     unhit = FinFun.from_map([], 2)
     assert phi_profile(unhit) == Profile({0: 2})
     assert gamma_profile(unhit) == Profile({0: 2})
+
+
+def test_phi_counts_every_codomain_point():
+    # a codomain over twice the domain is counted from the hit points only
+    for f in enumerate_all_functions(4):
+        sizes = [f.map.count(y) for y in range(f.cod.size)]
+        assert phi_profile(f) == Profile(Counter(sizes))
 
 
 def test_mass_conservation():

@@ -2,9 +2,9 @@
 
 The public ``FinFun`` constructor and ``finfun_from_dict`` must accept and
 reject exactly what the per-entry rule below accepts and rejects, naming the
-same first bad entry.  Morphisms the library builds itself skip validation,
-so each of them must come out exactly as the validating constructor would
-have built it.
+same first bad entry.  Morphisms and profiles the library builds itself
+skip validation, so each of them must come out exactly as the validating
+constructor would have built it.
 """
 
 import enum
@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcdres import (
-    SET_BIJ_THEORY,
-    SET_INJ_THEORY,
     FinFun,
     FinSet,
     FormatError,
@@ -27,8 +25,11 @@ from pcdres import (
     enumerate_all_functions,
     enumerate_injections,
     finfun_from_dict,
+    gamma_profile,
     identity,
+    normal_form,
     oracle_convertible,
+    phi_profile,
     profile_from_dict,
     realize_profile,
     relation_from_dict,
@@ -147,6 +148,23 @@ def test_realized_profiles_come_out_validated(counts):
     assert_as_validated(realize_profile(Profile(counts)))
 
 
+def assert_profile_as_validated(p):
+    """``p`` is normal and equals, and hashes like, its counts passed through ``Profile``."""
+    indices = [i for i, _ in p.items()]
+    assert indices == sorted(indices) and all(n > 0 for _, n in p.items())
+    again = Profile(dict(p.items()))
+    assert again == p and hash(again) == hash(p)
+
+
+@given(finfuns(), finfuns(), st.frozensets(st.integers(0, 6)))
+def test_library_built_profiles_come_out_validated(f, g, excluded):
+    built = [phi_profile(f), gamma_profile(f), phi_profile(g), gamma_profile(g)]
+    built += [normal_form(variant, f) for variant in TheoryVariant]
+    built += [built[0] + built[2], built[1] + built[3], built[0].restrict(excluded)]
+    for p in built:
+        assert_profile_as_validated(p)
+
+
 @given(finfuns(), finfuns())
 def test_witness_parts_come_out_validated(f, g):
     for variant in TheoryVariant:
@@ -159,7 +177,7 @@ def test_witness_parts_come_out_validated(f, g):
 def test_solve_discard_outputs_come_out_validated():
     funs = list(enumerate_all_functions(2))
     solved = 0
-    for theory in (SET_BIJ_THEORY, SET_INJ_THEORY):
+    for theory in TheoryVariant:
         for f in funs:
             for g in funs:
                 w = oracle_convertible(theory, f, g)
