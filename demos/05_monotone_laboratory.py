@@ -1,10 +1,12 @@
 """Screening candidate measures and hunting complete families.
 
-A useful additive monotone must vanish on identities, add up over disjoint
-union, and never increase under free pre- or post-processing.  The lab
-screens candidates exhaustively at small sizes, promotes survivors to
-functions on normal forms, and tests whether a family jointly decides the
-order.  Failures always come with a concrete counterexample.
+An additive monotone must add up over disjoint union, vanish on identities,
+never be negative (every process can be discarded down to nothing), and
+never increase under free pre- or post-processing.  The lab screens
+candidates exhaustively at small sizes, evaluating each candidate once per
+enumerated process, promotes survivors to functions on normal forms, and
+tests whether a family jointly decides the order.  Failures always come with
+a concrete counterexample.
 """
 
 from pcdres import (
@@ -36,6 +38,10 @@ collisions = CandidateMeasure(
     "collisions", lambda f: float(f.dom.size - len(set(f.map)))
 )
 print(check_measure(BIJ, collisions, 3).render())
+print()
+print("a negative candidate passes every wiring test but not non-negativity:")
+debt = CandidateMeasure("debt", lambda f: -BUILTIN_MEASURES["phi_0"](f))
+print(check_measure(BIJ, debt, 2).render())
 
 print()
 print("== induced monotones on normal forms ==")

@@ -7,7 +7,8 @@ literals when ``--inline`` is given.
 
 Exit codes: 0 success or a positive decision, 1 a negative decision,
 2 no witness, 64 malformed input (the diagnostic names the offending
-field), 65 violated precondition.
+field), 65 violated precondition, 70 internal error (an unexpected
+exception, reported as one ``error: internal:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EXIT_FALSE = 1
 EXIT_NO_WITNESS = 2
 EXIT_PARSE = 64
 EXIT_PRECONDITION = 65
+EXIT_INTERNAL = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,11 +1,24 @@
 """Screening candidate resource measures by exhaustive small-instance search.
 
-A real-valued function on processes induces an additive monotone on
-convertibility classes exactly when it is additive under disjoint union,
-vanishes on identities, and never increases under free pre- or
-post-composition.  :func:`check_measure` tests the three conditions over
-every process up to a size limit and reports the first counterexample for
-each failing one; :func:`induce_monotone` packages a passing measure as a
+An additive monotone is a real-valued function on processes that is
+additive under disjoint union and never increases along a conversion.  An
+additive ``mu`` is an additive monotone exactly when it also
+
+* vanishes on identities,
+* is non-negative, and
+* never increases under free pre- or post-composition.
+
+These conditions are necessary: an identity and the empty map convert to
+each other, and additivity gives the empty map the value 0; every process
+converts to the empty map by discarding all of it as junk; and a free
+wiring of ``f`` is a conversion from ``f``.  They are sufficient: from
+``xi2 . (f + 1_Z) . xi1 = g + j`` they give
+``mu(g) <= mu(g + j) <= mu(f + 1_Z) = mu(f)``.
+
+:func:`check_measure` tests the four conditions over every process up to a
+size limit and reports the first counterexample for each failing one.  It
+evaluates ``mu`` once per enumerated process and once per disjoint union of
+two of them.  :func:`induce_monotone` packages a passing measure as a
 function of normal forms; :func:`check_complete_family` tests whether a
 family of passing measures jointly characterizes convertibility.
 
@@ -22,7 +35,7 @@ import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .convert import TheoryVariant, decide, normal_form, representative
+from .convert import TheoryVariant, normal_form, representative
 from .finset import (
     FinFun,
     compose,
@@ -31,7 +44,7 @@ from .finset import (
     finfun_to_dict,
     identity,
 )
-from .profiles import Profile, gamma_profile, phi_profile
+from .profiles import Profile, _size_counts
 
 TOLERANCE = 1e-9
 
@@ -74,7 +87,7 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of the three-condition screen for one measure."""
+    """Outcome of the four-condition screen for one measure."""
 
     measure: str
     variant: TheoryVariant
@@ -82,10 +95,16 @@ class CheckReport:
     additivity: ConditionResult
     unit: ConditionResult
     monotonicity: ConditionResult
+    nonnegativity: ConditionResult
 
     @property
     def passed(self) -> bool:
-        return self.additivity.passed and self.unit.passed and self.monotonicity.passed
+        return (
+            self.additivity.passed
+            and self.unit.passed
+            and self.monotonicity.passed
+            and self.nonnegativity.passed
+        )
 
     def render(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -96,16 +115,17 @@ class CheckReport:
                 f"  additivity: {self.additivity.render()}",
                 f"  unit: {self.unit.render()}",
                 f"  free monotonicity: {self.monotonicity.render()}",
+                f"  non-negativity: {self.nonnegativity.render()}",
             ]
         )
 
 
 def _check_additivity(
-    mu: CandidateMeasure, funs: list[FinFun], tolerance: float
+    mu: CandidateMeasure, value_of: dict[FinFun, float], tolerance: float
 ) -> ConditionResult:
-    for f, g in itertools.product(funs, funs):
+    for (f, vf), (g, vg) in itertools.product(value_of.items(), repeat=2):
         lhs = mu(disjoint_union(f, g))
-        rhs = mu(f) + mu(g)
+        rhs = vf + vg
         if abs(lhs - rhs) > tolerance:
             return ConditionResult(
                 False, (f, g), f"mu(f+g) = {lhs} but mu(f) + mu(g) = {rhs}"
@@ -114,10 +134,10 @@ def _check_additivity(
 
 
 def _check_unit(
-    mu: CandidateMeasure, size_limit: int, tolerance: float
+    value_of: dict[FinFun, float], size_limit: int, tolerance: float
 ) -> ConditionResult:
     for z in range(size_limit + 1):
-        value = mu(identity(z))
+        value = value_of[identity(z)]
         if abs(value) > tolerance:
             return ConditionResult(
                 False, (identity(z),), f"mu = {value} on the identity of size {z}"
@@ -127,16 +147,14 @@ def _check_unit(
 
 def _check_monotonicity(
     variant: TheoryVariant,
-    mu: CandidateMeasure,
-    funs: list[FinFun],
+    value_of: dict[FinFun, float],
     size_limit: int,
     tolerance: float,
 ) -> ConditionResult:
-    for f in funs:
-        base = mu(f)
+    for f, base in value_of.items():
         for other in range(size_limit + 1):
             for xi in variant.free_morphisms(f.cod, other):
-                value = mu(compose(xi, f))
+                value = value_of[compose(xi, f)]
                 if base < value - tolerance:
                     return ConditionResult(
                         False,
@@ -144,7 +162,7 @@ def _check_monotonicity(
                         f"post-composition raises mu from {base} to {value}",
                     )
             for xi in variant.free_morphisms(other, f.dom):
-                value = mu(compose(f, xi))
+                value = value_of[compose(f, xi)]
                 if base < value - tolerance:
                     return ConditionResult(
                         False,
@@ -154,21 +172,36 @@ def _check_monotonicity(
     return ConditionResult(True)
 
 
+def _check_nonnegativity(
+    value_of: dict[FinFun, float], tolerance: float
+) -> ConditionResult:
+    for f, value in value_of.items():
+        if value < -tolerance:
+            return ConditionResult(False, (f,), f"mu = {value} is negative")
+    return ConditionResult(True)
+
+
 def check_measure(
     variant: TheoryVariant,
     mu: CandidateMeasure,
     size_limit: int,
     tolerance: float = TOLERANCE,
 ) -> CheckReport:
-    """Screen ``mu`` exhaustively over processes with sizes up to ``size_limit``."""
-    funs = list(enumerate_all_functions(size_limit))
+    """Screen ``mu`` exhaustively over processes with sizes up to ``size_limit``.
+
+    ``mu`` is evaluated once per enumerated process and once per disjoint
+    union of two.  Identities and free wirings of enumerated processes stay
+    within the size limit, so the other conditions look their values up.
+    """
+    value_of = {f: mu(f) for f in enumerate_all_functions(size_limit)}
     return CheckReport(
         measure=mu.name,
         variant=variant,
         size_limit=size_limit,
-        additivity=_check_additivity(mu, funs, tolerance),
-        unit=_check_unit(mu, size_limit, tolerance),
-        monotonicity=_check_monotonicity(variant, mu, funs, size_limit, tolerance),
+        additivity=_check_additivity(mu, value_of, tolerance),
+        unit=_check_unit(value_of, size_limit, tolerance),
+        monotonicity=_check_monotonicity(variant, value_of, size_limit, tolerance),
+        nonnegativity=_check_nonnegativity(value_of, tolerance),
     )
 
 
@@ -245,6 +278,9 @@ def check_complete_family(
 ) -> FamilyReport:
     """Test whether joint dominance of the measures coincides with ``decide``.
 
+    Each enumerated function's normal form is computed once and pairs are
+    compared with ``>=``, the criterion :func:`decide` applies.
+
     Every member must individually pass :func:`check_measure`; a member that
     does not is rejected up front rather than reported as incompleteness.
     """
@@ -257,10 +293,12 @@ def check_complete_family(
             )
     names = tuple(mu.name for mu in measures)
     funs = list(enumerate_all_functions(size_limit))
+    forms = [normal_form(variant, f) for f in funs]
     values = [tuple(mu(f) for mu in measures) for f in funs]
-    for (f, vf), (g, vg) in itertools.product(zip(funs, values), repeat=2):
+    rows = list(zip(funs, forms, values))
+    for (f, ff, vf), (g, fg, vg) in itertools.product(rows, repeat=2):
         dominates = all(a >= b - tolerance for a, b in zip(vf, vg))
-        converts = decide(variant, f, g)
+        converts = ff >= fg
         if converts and not dominates:
             drop = next(
                 name for name, a, b in zip(names, vf, vg) if a < b - tolerance
@@ -286,11 +324,14 @@ def check_complete_family(
 
 
 def _phi_measure(i: int) -> CandidateMeasure:
-    return CandidateMeasure(f"phi_{i}", lambda f, i=i: float(phi_profile(f)[i]))
+    return CandidateMeasure(f"phi_{i}", lambda f, i=i: float(_size_counts(f)[i]))
 
 
 def _gamma_measure(i: int) -> CandidateMeasure:
-    return CandidateMeasure(f"gamma_{i}", lambda f, i=i: float(gamma_profile(f)[i]))
+    def gamma_i(f: FinFun) -> float:
+        return float(sum(n for size, n in _size_counts(f).items() if size >= i))
+
+    return CandidateMeasure(f"gamma_{i}", gamma_i)
 
 
 def _registry() -> dict[str, CandidateMeasure]:

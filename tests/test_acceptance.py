@@ -1,16 +1,18 @@
 """Acceptance gate: every headline guarantee, run end to end at full size.
 
-Each test prints one ``[criterion N] name: PASS/FAIL`` line.  The file also
-runs standalone:
+Each test prints one ``[criterion N] name: PASS/FAIL (x.x s)`` line with the
+seconds the criterion took.  The file also runs standalone:
 
     python3 tests/test_acceptance.py
 """
 
 import itertools
+import time
 
 from pcdres import (
     BUILTIN_MEASURES,
     NEGATIVE_CONTROLS,
+    CandidateMeasure,
     Profile,
     Relation,
     SearchBounds,
@@ -47,10 +49,13 @@ TOL = 1e-9
 # pairs with decide = true among all function pairs at sizes <= 3
 TRUE_PAIRS = {BIJ: 1727, INJ: 2556}
 
+NEG_PHI_0 = CandidateMeasure("neg_phi_0", lambda f: -BUILTIN_MEASURES["phi_0"](f))
 
-def _verdict(number: int, name: str, failures: list) -> None:
+
+def _verdict(number: int, name: str, failures: list, started: float) -> None:
     ok = not failures
-    print(f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'}")
+    seconds = time.perf_counter() - started
+    print(f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'} ({seconds:.1f} s)")
     assert ok, f"criterion {number} ({name}): first failure: {failures[0]!r}"
 
 
@@ -62,6 +67,7 @@ def _relations(max_size):
 
 
 def _oracle_agreement(number: int, variant: TheoryVariant) -> None:
+    started = time.perf_counter()
     theory = theory_for(variant)
     funs = list(enumerate_all_functions(3))
     failures = []
@@ -76,7 +82,7 @@ def _oracle_agreement(number: int, variant: TheoryVariant) -> None:
                 found += 1
     if found != TRUE_PAIRS[variant]:
         failures.append(f"expected {TRUE_PAIRS[variant]} convertible pairs, found {found}")
-    _verdict(number, f"oracle agreement ({variant.value})", failures)
+    _verdict(number, f"oracle agreement ({variant.value})", failures, started)
 
 
 def test_criterion_1_oracle_agreement_set_bij():
@@ -88,6 +94,7 @@ def test_criterion_2_oracle_agreement_set_inj():
 
 
 def test_criterion_3_witness_soundness():
+    started = time.perf_counter()
     funs = list(enumerate_all_functions(3))
     failures = []
     for variant in (BIJ, INJ):
@@ -105,10 +112,11 @@ def test_criterion_3_witness_soundness():
                     produced += 1
         if produced != TRUE_PAIRS[variant]:
             failures.append((variant, "count", produced))
-    _verdict(3, "witness soundness", failures)
+    _verdict(3, "witness soundness", failures, started)
 
 
 def test_criterion_4_ordered_monoid_isomorphism():
+    started = time.perf_counter()
     funs = list(enumerate_all_functions(4))
     failures = []
     for variant in (BIJ, INJ):
@@ -119,20 +127,22 @@ def test_criterion_4_ordered_monoid_isomorphism():
                     failures.append((variant, f, g, "not a monoid map"))
                 if decide(variant, f, g) != (forms[f] >= forms[g]):
                     failures.append((variant, f, g, "order mismatch"))
-    _verdict(4, "ordered-monoid isomorphism", failures)
+    _verdict(4, "ordered-monoid isomorphism", failures, started)
 
 
 def test_criterion_5_non_negativity():
+    started = time.perf_counter()
     failures = []
     for variant in (BIJ, INJ):
         for f in enumerate_all_functions(4):
             for z in range(5):
                 if not decide(variant, f, identity(z)):
                     failures.append((variant, f, z))
-    _verdict(5, "non-negativity", failures)
+    _verdict(5, "non-negativity", failures, started)
 
 
 def test_criterion_6_relational_triviality():
+    started = time.perf_counter()
     rels = list(_relations(2))
     failures = []
     checked = 0
@@ -150,7 +160,7 @@ def test_criterion_6_relational_triviality():
     table = preorder_table(REL_TIMES_THEORY, 2)
     if len(table) != len(rels) ** 2:
         failures.append(f"table has {len(table)} of {len(rels) ** 2} pairs")
-    _verdict(6, "relational triviality", failures)
+    _verdict(6, "relational triviality", failures, started)
 
 
 def _class_route_passes(variant, mu, funs) -> bool:
@@ -176,6 +186,7 @@ def _class_route_passes(variant, mu, funs) -> bool:
 
 
 def test_criterion_7_measure_screen_equivalence():
+    started = time.perf_counter()
     funs = list(enumerate_all_functions(3))
     failures = []
     for variant in (BIJ, INJ):
@@ -193,10 +204,19 @@ def test_criterion_7_measure_screen_equivalence():
             conditions = (report.additivity, report.unit, report.monotonicity)
             if not any(not c.passed and c.counterexample for c in conditions):
                 failures.append((variant, name, "no concrete counterexample"))
-    _verdict(7, "measure screen equivalence", failures)
+    # additive, zero on identities and never raised by free wiring, but
+    # negative: only the non-negativity condition can reject it
+    for variant in (BIJ, INJ):
+        report = check_measure(variant, NEG_PHI_0, 3, TOL)
+        if report.passed or not report.nonnegativity.counterexample:
+            failures.append((variant, NEG_PHI_0.name, "screen missed a negative measure"))
+        if _class_route_passes(variant, NEG_PHI_0, funs):
+            failures.append((variant, NEG_PHI_0.name, "class route missed it"))
+    _verdict(7, "measure screen equivalence", failures, started)
 
 
 def test_criterion_8_complete_families():
+    started = time.perf_counter()
     failures = []
     for variant in (BIJ, INJ):
         family = default_family(variant)
@@ -208,10 +228,11 @@ def test_criterion_8_complete_families():
                 failures.append((variant, member.name, "singleton complete"))
             elif report.counterexample is None:
                 failures.append((variant, member.name, "no counterexample emitted"))
-    _verdict(8, "complete families", failures)
+    _verdict(8, "complete families", failures, started)
 
 
 def test_criterion_9_profile_algebra():
+    started = time.perf_counter()
     failures = []
     for f in enumerate_all_functions(5):
         phi, gamma = phi_profile(f), gamma_profile(f)
@@ -236,7 +257,7 @@ def test_criterion_9_profile_algebra():
         p = Profile(dict(enumerate(counts)))
         if phi_profile(realize_profile(p)) != p:
             failures.append((p, "realize round trip"))
-    _verdict(9, "profile algebra", failures)
+    _verdict(9, "profile algebra", failures, started)
 
 
 if __name__ == "__main__":

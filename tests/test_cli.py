@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from pcdres import relation_from_dict
+from pcdres import cli, relation_from_dict
 from pcdres.cli import main
 
 MERGE = '{"dom":2,"cod":1,"map":[0,0]}'
@@ -255,6 +255,16 @@ def test_preorder_table_too_tight_bounds_exit_65(capsys):
     )
     assert (code, out) == (65, "")
     assert err.startswith("error: preorder table is not") and err.endswith("; widen bounds\n")
+
+
+def test_unexpected_exception_exits_70(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_decide", broken)
+    code, out, err = run(capsys, "decide", "--variant", "set-bij", "--inline", MERGE, POINT)
+    # one diagnostic line and no traceback; exit 1 would read as "not convertible"
+    assert (code, out, err) == (70, "", "error: internal: RuntimeError: boom\n")
 
 
 def test_check_witness_relational_huge_empty_z(capsys):

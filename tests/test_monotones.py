@@ -1,5 +1,9 @@
 """Screening additive measures and validating complete families."""
 
+import itertools
+import json
+import tracemalloc
+
 import pytest
 
 from pcdres import (
@@ -12,14 +16,23 @@ from pcdres import (
     TheoryVariant,
     check_complete_family,
     check_measure,
+    compose,
+    decide,
     default_family,
+    disjoint_union,
+    enumerate_all_functions,
+    finfun_to_dict,
     identity,
     induce_monotone,
+    monotones,
+    normal_form,
     phi_profile,
 )
 
 BIJ = TheoryVariant.SET_BIJ
 INJ = TheoryVariant.SET_INJ
+
+neg_phi_0 = CandidateMeasure("neg_phi_0", lambda f: -BUILTIN_MEASURES["phi_0"](f))
 
 
 def test_builtin_registry():
@@ -159,6 +172,8 @@ def test_family_members_are_screened_first():
         check_complete_family(
             BIJ, [BUILTIN_MEASURES["phi_2"], BUILTIN_MEASURES["dom_size"]], 2
         )
+    with pytest.raises(MeasureRejected, match="family member neg_phi_0 fails screening"):
+        check_complete_family(BIJ, [neg_phi_0], 2)
 
 
 def test_family_report_render_shows_counterexample():
@@ -166,3 +181,158 @@ def test_family_report_render_shows_counterexample():
     rendered = report.render()
     assert rendered.splitlines()[0] == "family {phi_2} [set-bij] size limit 2: FAIL"
     assert '{"dom":0,"cod":0,"map":[]} vs {"dom":0,"cod":1,"map":[]}' in rendered
+
+
+# -- the screen against its definition ----------------------------------------
+
+
+def test_negative_measure_fails_only_non_negativity():
+    # -phi_0 is additive, vanishes on identities and never rises under free
+    # wiring, yet 0 -> 1 converts to the empty map by discarding and -phi_0
+    # rises from -1 to 0 along that conversion
+    for variant in (BIJ, INJ):
+        report = check_measure(variant, neg_phi_0, 1)
+        assert not report.passed
+        assert report.additivity.passed and report.unit.passed
+        assert report.monotonicity.passed
+        assert not report.nonnegativity.passed
+        assert report.nonnegativity.counterexample == (FinFun.from_map([], 1),)
+        assert report.nonnegativity.note == "mu = -1.0 is negative"
+        assert report.render().splitlines()[-1] == (
+            '  non-negativity: FAIL mu = -1.0 is negative [{"dom":0,"cod":1,"map":[]}]'
+        )
+
+
+def _fmt(f):
+    return json.dumps(finfun_to_dict(f), separators=(",", ":"))
+
+
+def _reference_condition(failure):
+    if failure is None:
+        return "pass"
+    note, shown = failure
+    return f"FAIL {note} [{' '.join(_fmt(m) for m in shown)}]"
+
+
+def _reference_screen(variant, mu, size_limit, tolerance=1e-9):
+    """The three-condition screen as first written, re-evaluating ``mu`` freely.
+
+    Returns the rendered report without the non-negativity line.
+    """
+    funs = list(enumerate_all_functions(size_limit))
+    additivity = unit = monotonicity = None
+    for f, g in itertools.product(funs, funs):
+        lhs = mu(disjoint_union(f, g))
+        rhs = mu(f) + mu(g)
+        if abs(lhs - rhs) > tolerance:
+            additivity = (f"mu(f+g) = {lhs} but mu(f) + mu(g) = {rhs}", (f, g))
+            break
+    for z in range(size_limit + 1):
+        value = mu(identity(z))
+        if abs(value) > tolerance:
+            unit = (f"mu = {value} on the identity of size {z}", (identity(z),))
+            break
+
+    def first_rise():
+        for f in funs:
+            base = mu(f)
+            for other in range(size_limit + 1):
+                for xi in variant.free_morphisms(f.cod, other):
+                    value = mu(compose(xi, f))
+                    if base < value - tolerance:
+                        return (f"post-composition raises mu from {base} to {value}", (f, xi))
+                for xi in variant.free_morphisms(other, f.dom):
+                    value = mu(compose(f, xi))
+                    if base < value - tolerance:
+                        return (f"pre-composition raises mu from {base} to {value}", (f, xi))
+        return None
+
+    monotonicity = first_rise()
+    passed = additivity is None and unit is None and monotonicity is None
+    return "\n".join(
+        [
+            f"measure {mu.name} [{variant.value}] size limit {size_limit}: "
+            f"{'PASS' if passed else 'FAIL'}",
+            f"  additivity: {_reference_condition(additivity)}",
+            f"  unit: {_reference_condition(unit)}",
+            f"  free monotonicity: {_reference_condition(monotonicity)}",
+        ]
+    )
+
+
+SCREENED = [*BUILTIN_MEASURES.values()] + [
+    CandidateMeasure("squared", lambda f: float(f.dom.size**2)),
+    CandidateMeasure("noisy", lambda f: phi_profile(f)[2] + 1e-12),
+]
+
+
+@pytest.mark.parametrize("variant", [BIJ, INJ], ids=lambda v: v.value)
+@pytest.mark.parametrize("mu", SCREENED, ids=lambda mu: mu.name)
+def test_screen_matches_reference(variant, mu):
+    lines = check_measure(variant, mu, 2).render().splitlines()
+    assert lines[-1] == "  non-negativity: pass"
+    assert "\n".join(lines[:-1]) == _reference_screen(variant, mu, 2)
+
+
+@pytest.mark.parametrize("variant", [BIJ, INJ], ids=lambda v: v.value)
+def test_family_check_matches_decide(variant):
+    # every pair where joint dominance and decide disagree, in enumeration order
+    funs = list(enumerate_all_functions(3))
+    for family in [default_family(variant)] + [[mu] for mu in default_family(variant)]:
+        report = check_complete_family(variant, family, 3)
+        mismatch = next(
+            (
+                (f, g)
+                for f, g in itertools.product(funs, funs)
+                if decide(variant, f, g) != all(mu(f) >= mu(g) for mu in family)
+            ),
+            None,
+        )
+        assert report.passed == (mismatch is None)
+        assert report.counterexample == mismatch
+
+
+def test_measure_is_evaluated_once_per_process(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return float(phi_profile(f)[3])
+
+    mu = CandidateMeasure("counted_phi_3", counted)
+    n = len(list(enumerate_all_functions(3)))
+    for variant in (BIJ, INJ):
+        calls.clear()
+        assert check_measure(variant, mu, 3).passed
+        # once per process, once per disjoint union of two; the parent
+        # screen made 3 n^2 additivity calls (10,800) plus the rest
+        assert len(calls) == n + n * n == 60 + 3600
+
+    forms = []
+
+    def counted_form(variant, f):
+        forms.append(f)
+        return normal_form(variant, f)
+
+    monkeypatch.setattr(monotones, "normal_form", counted_form)
+    for variant in (BIJ, INJ):
+        calls.clear()
+        forms.clear()
+        check_complete_family(variant, [mu], 3)
+        # the screen, then one value and one normal form per process
+        assert len(calls) == n + n * n + n
+        assert len(forms) == n
+
+
+@pytest.mark.parametrize("name, expected", [("phi_0", 999999999.0), ("gamma_0", 1e9)])
+def test_measures_cost_memory_in_domain(name, expected):
+    # one hit point in a codomain of 10^9: counted from the hit points
+    f = FinFun.from_map([0], 10**9)
+    tracemalloc.start()
+    try:
+        value = BUILTIN_MEASURES[name](f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 2 * 2**20
