@@ -1,7 +1,11 @@
 """The independent route: find conversions by searching the defining equation.
 
 No profiles here.  The oracle enumerates auxiliary sizes, junk shapes, and
-free wirings, and solves the discarding side by constraint propagation.  Its
+free wirings, and solves the discarding side by constraint propagation.  Of
+the input wirings it tries one per orbit of the symmetries the equation
+cannot see (points inside one fiber of f, singleton-fiber points together
+with the auxiliary points, and the junk inputs), and still returns the
+witness a scan of every wiring would find first.  Its
 agreement with the profile-based decision procedure on exhaustive small
 slices is the package's central self-check, repeated below on a small grid.
 """

@@ -66,6 +66,9 @@ class TheoryInstance:
     The :class:`TheoryVariant` members and the oracle's relational theory
     implement it; ``check_witness`` also reads ``morphism_type``, and the
     command line calls ``witness(f, g)`` and the two ``*_from_dict`` decoders.
+    The oracle's search takes its wirings ``xi1`` from ``xi1_candidates``,
+    every free morphism by default; the set theories narrow that to one
+    wiring per orbit of the equation's symmetries.
     """
 
     name: str
@@ -90,6 +93,14 @@ class TheoryInstance:
 
     def free_morphisms(self, dom: FinSet, cod: FinSet):
         raise NotImplementedError
+
+    def xi1_candidates(self, f, z: FinSet, a: FinSet, c: FinSet):
+        """The wirings ``xi1 : A (x) C -> dom(f) (x) Z`` the search tries, in scan order.
+
+        Default: every free morphism.  A theory may leave out candidates
+        that cannot change the first witness the search returns.
+        """
+        return self.free_morphisms(self.obj_tensor(a, c), self.obj_tensor(f.dom, z))
 
     def is_free(self, m) -> bool:
         raise NotImplementedError
@@ -169,6 +180,15 @@ class TheoryVariant(TheoryInstance, enum.Enum):
     def free_morphisms(self, dom: FinSet | int, cod: FinSet | int) -> Iterator[FinFun]:
         """The free morphisms ``dom -> cod`` in enumeration order, built once per shape."""
         return iter(_free_funs(self, getattr(dom, "size", dom), getattr(cod, "size", cod)))
+
+    def xi1_candidates(self, f: FinFun, z: FinSet, a: FinSet, c: FinSet) -> tuple[FinFun, ...]:
+        """The free ``xi1`` least in their orbit under the equation's symmetries.
+
+        The symmetries and the proof that the first witness is unchanged are
+        in the :mod:`pcdres.oracle` docstring.
+        """
+        bijective = self is TheoryVariant.SET_BIJ
+        return _canonical_xi1(bijective, _fiber_classes(f.map), z.size, a.size, c.size)
 
     def is_free(self, f: FinFun) -> bool:
         return is_bijection(f) if self is TheoryVariant.SET_BIJ else is_injection(f)
@@ -259,6 +279,56 @@ def _free_funs(variant: TheoryVariant, dom_size: int, cod_size: int) -> tuple[Fi
     if variant is TheoryVariant.SET_BIJ:
         return tuple(enumerate_bijections(dom_size, cod_size))
     return tuple(enumerate_injections(dom_size, cod_size))
+
+
+@lru_cache(maxsize=1024)
+def _fiber_classes(fmap: tuple[int, ...]) -> tuple[int, ...]:
+    """Each domain point's class: -1 in a singleton fiber, else its fiber's rank of first use."""
+    sizes = Counter(fmap)
+    rank: dict[int, int] = {}
+    return tuple(-1 if sizes[y] == 1 else rank.setdefault(y, len(rank)) for y in fmap)
+
+
+@lru_cache(maxsize=None)
+def _canonical_xi1(
+    bijective: bool, classes: tuple[int, ...], z: int, a: int, c: int
+) -> tuple[FinFun, ...]:
+    """The free ``xi1 : a + c -> len(classes) + z`` least in their orbit, in lexicographic order.
+
+    Free means bijective when ``bijective`` is set, injective otherwise.
+    The ``Z`` points join class -1.  A map is least in its orbit exactly when
+    the i-th use of each class is that class's i-th smallest member and the
+    images of the last ``c`` inputs increase; the depth-first scan below
+    tries only the next unused member of each class, smallest first.
+    """
+    n = len(classes) + z
+    size = a + c
+    if size > n or (bijective and size != n):
+        return ()
+    pools: dict[int, list[int]] = {}
+    for x, k in enumerate(classes + (-1,) * z):
+        pools.setdefault(k, []).append(x)
+    members = list(pools.values())
+    used = [0] * len(members)
+    entries: list[int] = []
+    found: list[FinFun] = []
+    dom, cod = FinSet(size), FinSet(n)
+
+    def extend() -> None:
+        if len(entries) == size:
+            found.append(FinFun._trusted(dom, cod, tuple(entries)))
+            return
+        low = entries[-1] if len(entries) > a else -1
+        for x, k in sorted((m[used[k]], k) for k, m in enumerate(members) if used[k] < len(m)):
+            if x > low:
+                used[k] += 1
+                entries.append(x)
+                extend()
+                entries.pop()
+                used[k] -= 1
+
+    extend()
+    return tuple(found)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,28 @@ witness is the first one in that fixed order.  The set theories are the
 one admissible image, forced by the equation).  The relational theory falls
 back to plain enumeration of free morphisms.
 
+The set theories also skip most wirings ``xi1 : A + C -> dom(f) + Z``
+(``TheoryInstance.xi1_candidates``).  Three symmetries of the equation
+act on them:
+
+1. permuting the points of ``dom(f)`` inside one fiber of ``f``;
+2. permuting the class made of every singleton-fiber point of ``f``
+   together with every ``Z`` point;
+3. permuting the ``C`` junk inputs.
+
+The first fixes ``f + 1_Z``, the second commutes with it up to a bijection
+of ``cod(f) + Z`` that ``xi2`` absorbs, and the third only reorders the
+inputs of ``j``; so each sends a solvable ``xi1`` to a solvable one at the
+same ``(Z, C, D)``.  The scan keeps the ``xi1`` least in lexicographic order
+within their orbit: the i-th use of each class is its i-th smallest member,
+and the images of the ``C`` block increase (isomorph-free generation, as in
+McKay, J. Algorithms 1998).  Proof that the witness is unchanged: the whole
+orbit of a solvable ``xi1`` is solvable, so the first solvable ``xi1`` in
+the plain scan is least in its orbit and is kept; every kept ``xi1`` before
+it was also in the plain scan before it, hence not solvable.  The classes
+are read from the fiber partition of ``f.map``, never from profile counts,
+so the search stays independent of :func:`pcdres.convert.decide`.
+
 Everything here also works for the relational theory over cartesian
 products, whose free morphisms are graphs of functions.  That theory orders
 trivially: :func:`relx_convert` returns its closed-form witness.
@@ -154,14 +176,14 @@ def oracle_convertible(
     """Search for a conversion witness within ``bounds``; None if none exists there."""
     if bounds is None:
         bounds = default_bounds(f, g)
+    junk_inputs = [FinSet(c) for c in range(bounds.max_c + 1)]
     for z in range(bounds.max_z + 1):
         z_obj = FinSet(z)
         padded = theory.pad(f, z_obj)
-        for c in range(bounds.max_c + 1):
-            source = theory.obj_tensor(g.dom, FinSet(c))
-            for xi1 in theory.free_morphisms(source, padded.dom):
+        for c_obj in junk_inputs:
+            for xi1 in theory.xi1_candidates(f, z_obj, g.dom, c_obj):
                 m = theory.compose(padded, xi1)
-                found = theory.solve_discard(m, g, c, bounds.max_d)
+                found = theory.solve_discard(m, g, c_obj.size, bounds.max_d)
                 if found is not None:
                     xi2, j = found
                     return Witness(z_obj, xi1, xi2, j)

@@ -2,9 +2,14 @@
 
 The search is the independent route: it never looks at fiber profiles, only at
 the defining equation.  These tests pin its output on worked examples, compare
-the constraint-propagation solver against plain enumeration, and check the
-order structure the search recovers.
+the constraint-propagation solver and the symmetry-reduced ``xi1`` scan
+against plain enumeration, and check the order structure the search recovers.
 """
+
+import gc
+import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +25,7 @@ from pcdres import (
     default_bounds,
     disjoint_union,
     enumerate_all_functions,
+    enumerate_functions,
     oracle_convertible,
     preorder_lines,
     preorder_table,
@@ -27,16 +33,15 @@ from pcdres import (
     theory_for,
 )
 from pcdres import check_witness as verify_witness
+from pcdres.convert import _canonical_xi1, _fiber_classes, _free_funs
 from pcdres.oracle import REL_TIMES_THEORY, TheoryInstance
 
 MERGE = FinFun.from_map([0, 0], 1)
 POINT = FinFun.from_map([0], 1)
 
 
-class NaiveTheory:
-    """Same theory, but discarding solved by enumerating every free wiring."""
-
-    solve_discard = TheoryInstance.solve_discard
+class Wrapped:
+    """A theory with some methods swapped for their plain ``TheoryInstance`` versions."""
 
     def __init__(self, theory):
         self.theory = theory
@@ -45,9 +50,19 @@ class NaiveTheory:
         return getattr(self.theory, attr)
 
 
-def all_relations(max_size):
-    import itertools
+class NaiveTheory(Wrapped):
+    """Same theory, but discarding solved by enumerating every free wiring."""
 
+    solve_discard = TheoryInstance.solve_discard
+
+
+class PlainScan(Wrapped):
+    """Same theory, but the search tries every free ``xi1``, not one per orbit."""
+
+    xi1_candidates = TheoryInstance.xi1_candidates
+
+
+def all_relations(max_size):
     for d in range(max_size + 1):
         for c in range(max_size + 1):
             for bits in itertools.product((False, True), repeat=d * c):
@@ -122,6 +137,93 @@ def test_propagation_matches_plain_enumeration():
                 expected = oracle_convertible(naive, f, g, bounds)
                 got = oracle_convertible(fast, f, g, bounds)
                 assert expected == got
+
+
+def test_symmetry_reduced_scan_matches_plain_scan():
+    # the reduced scan must return the very witness the plain scan finds
+    # first; dom-4 maps are the first with two fibers of size >= 2
+    small = list(enumerate_all_functions(2))
+    dom4 = [f for c in range(4) for f in enumerate_functions(4, c)]
+    bounds = SearchBounds(2, 4, 4)
+    for variant in TheoryVariant:
+        plain = PlainScan(variant)
+        for f in small + dom4:
+            for g in small:
+                expected = oracle_convertible(plain, f, g, bounds)
+                assert oracle_convertible(variant, f, g, bounds) == expected, (f, g)
+
+
+def _least_in_orbit(xi1, classes, a):
+    """Brute force: the least image of ``xi1`` under relabelings within classes
+    of its codomain and reorderings of its inputs from position ``a`` on."""
+    pools = {}
+    for x, k in enumerate(classes):
+        pools.setdefault(k, []).append(x)
+    relabelings = []
+    for images in itertools.product(*(itertools.permutations(p) for p in pools.values())):
+        sigma = {}
+        for pool, image in zip(pools.values(), images):
+            sigma.update(zip(pool, image))
+        relabelings.append(sigma)
+    head, tail = xi1.map[:a], xi1.map[a:]
+    return min(
+        tuple(sigma[x] for x in head + order)
+        for sigma in relabelings
+        for order in itertools.permutations(tail)
+    )
+
+
+def test_xi1_candidates_are_the_orbit_representatives():
+    # exactly the free maps least in their orbit, in the plain scan's order;
+    # one map per fiber partition of up to four points
+    shapes = {_fiber_classes(f.map): f for f in enumerate_all_functions(4)}
+    assert len(shapes) == 1 + 1 + 2 + 5 + 15
+    for f in shapes.values():
+        for variant in TheoryVariant:
+            for z, a, c in itertools.product(range(2), range(3), range(3)):
+                zs, as_, cs = FinSet(z), FinSet(a), FinSet(c)
+                classes = _fiber_classes(f.map) + (-1,) * z
+                expected = [
+                    xi1
+                    for xi1 in PlainScan(variant).xi1_candidates(f, zs, as_, cs)
+                    if xi1.map == _least_in_orbit(xi1, classes, a)
+                ]
+                assert list(variant.xi1_candidates(f, zs, as_, cs)) == expected
+
+
+def test_oracle_agrees_with_decide_on_a_size_4_sample():
+    funs = list(enumerate_all_functions(4))
+    assert len(funs) == 499
+    bounds = SearchBounds(4, 8, 8)
+    rng = random.Random(4)
+    for variant in TheoryVariant:
+        for _ in range(2000):
+            f, g = rng.choice(funs), rng.choice(funs)
+            w = oracle_convertible(variant, f, g, bounds)
+            assert (w is not None) == decide(variant, f, g), (variant, f, g)
+            if w is not None:
+                assert verify_witness(variant, f, g, w), (variant, f, g)
+
+
+def test_oracle_caches_stay_small():
+    # the size <= 3 sweep at bounds (3, 6, 6) leaves under 0.5 MB behind
+    funs = list(enumerate_all_functions(3))
+    bounds = SearchBounds(3, 6, 6)
+    for cache in (_canonical_xi1, _fiber_classes, _free_funs):
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for variant in TheoryVariant:
+            for f in funs:
+                for g in funs:
+                    oracle_convertible(variant, f, g, bounds)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 0.5 * 2**20
 
 
 def test_verify_witness_rejects_tampering():
