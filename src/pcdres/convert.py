@@ -53,7 +53,7 @@ from .finset import (
     relation_from_dict,
     relation_to_dict,
 )
-from .profiles import Profile, fiber_sizes, gamma_profile, phi_profile, realize_profile
+from .profiles import Profile, fiber_sizes, realize_profile, size_counts, tail_counts
 
 
 class NotConvertibleError(ValueError):
@@ -149,10 +149,6 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         """Profile indices that free padding can change, hence carry no information."""
         return frozenset({1}) if self is TheoryVariant.SET_BIJ else frozenset({0, 1})
 
-    def profile(self, f: FinFun) -> Profile:
-        """The classifying fiber statistic for this variant."""
-        return phi_profile(f) if self is TheoryVariant.SET_BIJ else gamma_profile(f)
-
     def witness(self, f: FinFun, g: FinFun) -> Witness:
         return witness(self, f, g)
 
@@ -187,8 +183,10 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         The symmetries and the proof that the first witness is unchanged are
         in the :mod:`pcdres.oracle` docstring.
         """
-        bijective = self is TheoryVariant.SET_BIJ
-        return _canonical_xi1(bijective, _fiber_classes(f.map), z.size, a.size, c.size)
+        n, size = f.dom.size + z.size, a.size + c.size
+        if size > n or (self is TheoryVariant.SET_BIJ and size != n):
+            return ()  # no free map of this shape
+        return _canonical_xi1(_fiber_classes(f.map), z.size, a.size, c.size)
 
     def is_free(self, f: FinFun) -> bool:
         return is_bijection(f) if self is TheoryVariant.SET_BIJ else is_injection(f)
@@ -290,21 +288,18 @@ def _fiber_classes(fmap: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _canonical_xi1(
-    bijective: bool, classes: tuple[int, ...], z: int, a: int, c: int
-) -> tuple[FinFun, ...]:
+def _canonical_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> tuple[FinFun, ...]:
     """The free ``xi1 : a + c -> len(classes) + z`` least in their orbit, in lexicographic order.
 
-    Free means bijective when ``bijective`` is set, injective otherwise.
-    The ``Z`` points join class -1.  A map is least in its orbit exactly when
-    the i-th use of each class is that class's i-th smallest member and the
-    images of the last ``c`` inputs increase; the depth-first scan below
-    tries only the next unused member of each class, smallest first.
+    The maps are injective, and the caller passes only shapes that have a
+    free map, so under set-bij they are bijective.  The ``Z`` points join
+    class -1.  A map is least in its orbit exactly when the i-th use of each
+    class is that class's i-th smallest member and the images of the last
+    ``c`` inputs increase; the depth-first scan below tries only the next
+    unused member of each class, smallest first.
     """
     n = len(classes) + z
     size = a + c
-    if size > n or (bijective and size != n):
-        return ()
     pools: dict[int, list[int]] = {}
     for x, k in enumerate(classes + (-1,) * z):
         pools.setdefault(k, []).append(x)
@@ -342,8 +337,15 @@ class Witness:
 
 
 def normal_form(variant: TheoryVariant, f: FinFun) -> Profile:
-    """The complete invariant of ``f``'s convertibility class."""
-    return variant.profile(f).restrict(variant.excluded_indices)
+    """The complete invariant of ``f``'s convertibility class.
+
+    Multiplicity counts under set-bij, tail counts under set-inj, less the excluded indices.
+    """
+    counts = size_counts(f)
+    if variant is TheoryVariant.SET_INJ:
+        counts = tail_counts(counts)
+    excluded = variant.excluded_indices
+    return Profile._trusted({i: n for i, n in enumerate(counts) if n and i not in excluded})
 
 
 def decide(variant: TheoryVariant, f: FinFun, g: FinFun) -> bool:

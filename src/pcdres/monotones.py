@@ -44,7 +44,7 @@ from .finset import (
     finfun_to_dict,
     identity,
 )
-from .profiles import Profile, _size_counts
+from .profiles import Profile, size_counts
 
 TOLERANCE = 1e-9
 
@@ -323,24 +323,16 @@ def check_complete_family(
     return FamilyReport(variant, size_limit, names, True)
 
 
-def _phi_measure(i: int) -> CandidateMeasure:
-    return CandidateMeasure(f"phi_{i}", lambda f, i=i: float(_size_counts(f)[i]))
-
-
-def _gamma_measure(i: int) -> CandidateMeasure:
-    def gamma_i(f: FinFun) -> float:
-        return float(sum(n for size, n in _size_counts(f).items() if size >= i))
-
-    return CandidateMeasure(f"gamma_{i}", gamma_i)
+def _count_measure(name: str, window: slice) -> CandidateMeasure:
+    """The sum of the fiber-size counts in ``window``, 0 past the largest fiber."""
+    return CandidateMeasure(name, lambda f: float(sum(size_counts(f)[window])))
 
 
 def _registry() -> dict[str, CandidateMeasure]:
     reg = {}
     for i in range(9):
-        phi = _phi_measure(i)
-        gamma = _gamma_measure(i)
-        reg[phi.name] = phi
-        reg[gamma.name] = gamma
+        reg[f"phi_{i}"] = _count_measure(f"phi_{i}", slice(i, i + 1))
+        reg[f"gamma_{i}"] = _count_measure(f"gamma_{i}", slice(i, None))
     reg["dom_size"] = CandidateMeasure("dom_size", lambda f: float(f.dom.size))
     reg["cod_size"] = CandidateMeasure("cod_size", lambda f: float(f.cod.size))
     return reg

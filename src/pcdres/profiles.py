@@ -6,19 +6,19 @@ at least ``i``.  Both are finitely supported maps from naturals to naturals
 and both are additive under disjoint union, which is what makes them useful
 as conversion invariants.
 
-Profiles are stored sparsely: an absent index means count zero, and a stored
-count is never zero.  Addition and the pointwise order are the vector
-operations on finitely supported sequences.
-
-``Profile(...)`` and :func:`profile_from_dict` validate every entry; the
-profiles the library builds (fiber counts, sums, restrictions, witness
-surpluses) are normal by construction and skip that through the private
-``Profile._trusted``.  Counting fibers costs memory linear in ``dom``,
-however large ``cod`` is.
+Inside the library both are read from one dense count, :func:`size_counts`,
+which costs memory linear in ``dom`` however large ``cod`` is; normal forms
+and registry measures read it too.  At the boundary a profile is the sparse
+:class:`Profile`: an absent index means count zero and a stored count is
+never zero, and addition and the pointwise order are the vector operations
+on finitely supported sequences.  ``Profile(...)`` and
+:func:`profile_from_dict` validate every entry; the profiles the library
+builds are normal by construction and skip that through ``Profile._trusted``.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 
@@ -91,11 +91,6 @@ class Profile:
             return NotImplemented
         return all(self._counts.get(i, 0) >= n for i, n in other._counts.items())
 
-    def restrict(self, excluded: Iterable[int]) -> Profile:
-        """Drop the given indices; the rest of the profile is unchanged."""
-        excluded = frozenset(excluded)
-        return Profile._trusted({i: n for i, n in self._counts.items() if i not in excluded})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Profile):
             return NotImplemented
@@ -116,19 +111,32 @@ def fiber_sizes(f: FinFun) -> list[int]:
     return sizes
 
 
-def _size_counts(f: FinFun) -> Counter[int]:
-    """How many codomain points have each fiber size, in memory linear in ``dom``.
+def size_counts(f: FinFun) -> list[int]:
+    """``counts[i]`` is the number of codomain points with exactly ``i`` preimages.
 
-    A codomain up to twice the domain is counted through :func:`fiber_sizes`,
-    the fastest count; a larger one from its hit points, with the unhit
-    points added at index 0 in one step.
+    The list ends at the largest fiber size and is empty only when the
+    codomain is.  A codomain up to twice the domain is counted in one pass
+    over :func:`fiber_sizes`; a larger one from its hit points, with the
+    unhit points added at index 0 in one step.
+
+    >>> size_counts(FinFun.from_map([0, 0, 1], 3))
+    [1, 1, 1]
     """
-    if f.cod.size <= 2 * f.dom.size:
-        return Counter(fiber_sizes(f))
-    hits = Counter(f.map)
-    counts = Counter(hits.values())
-    counts[0] = f.cod.size - len(hits)
+    if f.cod.size > 2 * f.dom.size:
+        hits = Counter(f.map)
+        by_size = Counter(hits.values())
+        by_size[0] = f.cod.size - len(hits)
+        return [by_size[i] for i in range(max(by_size) + 1)]
+    sizes = fiber_sizes(f)
+    counts = [0] * (max(sizes, default=-1) + 1)
+    for size in sizes:
+        counts[size] += 1
     return counts
+
+
+def tail_counts(counts: list[int]) -> list[int]:
+    """The suffix sums of a :func:`size_counts` list: ``tails[i] == sum(counts[i:])``."""
+    return list(itertools.accumulate(reversed(counts)))[::-1]
 
 
 def phi_profile(f: FinFun) -> Profile:
@@ -140,7 +148,7 @@ def phi_profile(f: FinFun) -> Profile:
     >>> phi_profile(FinFun.from_map([0, 0, 1], 2))
     Profile({1: 1, 2: 1})
     """
-    return Profile._trusted(dict(sorted(_size_counts(f).items())))
+    return Profile._trusted({i: n for i, n in enumerate(size_counts(f)) if n})
 
 
 def gamma_profile(f: FinFun) -> Profile:
@@ -152,13 +160,7 @@ def gamma_profile(f: FinFun) -> Profile:
     >>> gamma_profile(identity_like := FinFun.from_map([0, 1], 2))
     Profile({0: 2, 1: 2})
     """
-    by_size = _size_counts(f)
-    tail: dict[int, int] = {}
-    at_least = f.cod.size
-    for i in range(max(by_size, default=-1) + 1):
-        tail[i] = at_least
-        at_least -= by_size[i]
-    return Profile._trusted(tail)
+    return Profile._trusted(dict(enumerate(tail_counts(size_counts(f)))))
 
 
 def realize_profile(profile: Profile) -> FinFun:

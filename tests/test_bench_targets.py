@@ -1,17 +1,21 @@
-"""Every function the benchmark's tracer wraps still exists in the package.
+"""Every name the benchmark reads from the package still exists.
 
 ``perfbench/tracer.py`` names its targets by module and attribute path, and
-``Tracer.install`` fails on a missing one, so a rename in ``src`` would break
-the traced benchmark run without this check.
+``Tracer.install`` fails on a missing one; the workloads read names such as
+``pcdres.theory_for`` and ``pcdres.cli.main``.  A rename in ``src`` would
+break the benchmark run without these checks.
 """
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = BENCH / "tracer.py"
 
 
 def _load_targets():
@@ -38,3 +42,40 @@ def test_tracer_target_resolves(module_name, path, span):
     else:
         target = getattr(owner, path)
     assert callable(target)
+
+
+def _dotted(node):
+    """``pcdres.a.b`` for an attribute chain on the name ``pcdres`` or a string naming one."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value if re.fullmatch(r"pcdres(\.\w+)+", node.value) else None
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if parts and isinstance(node, ast.Name) and node.id == "pcdres":
+        return ".".join(["pcdres", *reversed(parts)])
+    return None
+
+
+def _bench_names():
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        names.update(map(_dotted, ast.walk(ast.parse(path.read_text(), str(path)))))
+    return sorted(names - {None})
+
+
+BENCH_NAMES = _bench_names()
+
+
+def test_bench_names_found():
+    assert {"pcdres.theory_for", "pcdres.REL_TIMES_THEORY", "pcdres.cli.main"} <= set(BENCH_NAMES)
+
+
+@pytest.mark.parametrize("dotted", BENCH_NAMES)
+def test_bench_name_resolves(dotted):
+    obj = importlib.import_module("pcdres")
+    for part in dotted.split(".")[1:]:
+        if not hasattr(obj, part):
+            # a submodule, such as pcdres.cli, that the package does not import itself
+            obj = importlib.import_module(f"{obj.__name__}.{part}")
+        obj = getattr(obj, part)

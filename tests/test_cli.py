@@ -331,6 +331,22 @@ def test_huge_codomain_costs_memory_in_domain(capsys, argv, expected):
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("variant", ["set-bij", "set-inj"])
+def test_negative_witness_on_huge_codomain_is_cheap(capsys, variant):
+    # witness refuses through decide before it lists the fiber sizes of cod
+    merge = '{"dom":2,"cod":1000000000,"map":[0,0]}'
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "witness", "--variant", variant, "--inline", '{"dom":0,"cod":0,"map":[]}', merge
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "no witness: f does not convert to g\n")
+    assert peak < 2 * 2**20
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pcdres", "decide", "--variant", "set-inj",

@@ -6,21 +6,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcdres import (
+    BUILTIN_MEASURES,
     FinFun,
     FinSet,
     FormatError,
     Profile,
+    TheoryVariant,
     compose,
     disjoint_union,
     enumerate_all_functions,
     enumerate_bijections,
     gamma_profile,
     identity,
+    normal_form,
     phi_profile,
     profile_from_dict,
     profile_to_dict,
     realize_profile,
 )
+from pcdres.profiles import size_counts
 
 profiles = st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=5).map(Profile)
 
@@ -59,13 +63,6 @@ def test_profile_addition_and_order():
     assert not Profile({2: 1}) >= Profile({0: 1})
 
 
-def test_profile_restrict():
-    p = Profile({0: 2, 1: 5, 3: 1})
-    assert p.restrict({1}) == Profile({0: 2, 3: 1})
-    assert p.restrict({0, 1}) == Profile({3: 1})
-    assert p.restrict(()) == p
-
-
 @given(profiles, profiles, profiles)
 def test_profile_monoid_laws(p, q, r):
     assert p + q == q + p
@@ -96,6 +93,25 @@ def test_phi_counts_every_codomain_point():
     for f in enumerate_all_functions(4):
         sizes = [f.map.count(y) for y in range(f.cod.size)]
         assert phi_profile(f) == Profile(Counter(sizes))
+
+
+def test_one_count_feeds_every_statistic():
+    # the profiles, the registry measures and the normal forms read one dense
+    # count; the last three maps are counted from their hit points
+    sparse = [
+        FinFun.from_map([0, 0, 5], 10**9),
+        FinFun.from_map([], 7),
+        FinFun.from_map([3, 1, 3], 9),
+    ]
+    for f in [*enumerate_all_functions(4), *sparse]:
+        phi, gamma = phi_profile(f), gamma_profile(f)
+        assert size_counts(f) == [phi[i] for i in range(max(phi.support, default=-1) + 1)]
+        for i in range(9):
+            assert BUILTIN_MEASURES[f"phi_{i}"](f) == phi[i]
+            assert BUILTIN_MEASURES[f"gamma_{i}"](f) == gamma[i]
+        for variant, stat in ((TheoryVariant.SET_BIJ, phi), (TheoryVariant.SET_INJ, gamma)):
+            kept = {i: n for i, n in stat.items() if i not in variant.excluded_indices}
+            assert normal_form(variant, f) == Profile(kept)
 
 
 def test_mass_conservation():

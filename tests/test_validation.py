@@ -156,11 +156,11 @@ def assert_profile_as_validated(p):
     assert again == p and hash(again) == hash(p)
 
 
-@given(finfuns(), finfuns(), st.frozensets(st.integers(0, 6)))
-def test_library_built_profiles_come_out_validated(f, g, excluded):
+@given(finfuns(), finfuns())
+def test_library_built_profiles_come_out_validated(f, g):
     built = [phi_profile(f), gamma_profile(f), phi_profile(g), gamma_profile(g)]
     built += [normal_form(variant, f) for variant in TheoryVariant]
-    built += [built[0] + built[2], built[1] + built[3], built[0].restrict(excluded)]
+    built += [built[0] + built[2], built[1] + built[3]]
     for p in built:
         assert_profile_as_validated(p)
 
