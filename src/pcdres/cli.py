@@ -7,8 +7,9 @@ literals when ``--inline`` is given.
 
 Exit codes: 0 success or a positive decision, 1 a negative decision,
 2 no witness, 64 malformed input (the diagnostic names the offending
-field), 65 violated precondition, 70 internal error (an unexpected
-exception, reported as one ``error: internal:`` line on stderr).
+field), 65 violated precondition or a ``witness`` over its budget of
+codomain points, 70 internal error (an unexpected exception, reported as
+one ``error: internal:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ EXIT_NO_WITNESS = 2
 EXIT_PARSE = 64
 EXIT_PRECONDITION = 65
 EXIT_INTERNAL = 70
+
+# The most codomain points, f's and g's together, that ``witness`` will
+# list; a witness's size and its construction's memory grow with them.
+WITNESS_BUDGET = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +121,16 @@ def _cmd_decide(args) -> int:
 def _cmd_witness(args) -> int:
     theory = THEORIES[args.variant]
     f, g = _load_pair(args, theory)
+    points = f.cod.size + g.cod.size
     try:
+        if points > WITNESS_BUDGET:
+            # a negative decision costs memory in dom only, so it is still given
+            if isinstance(theory, TheoryVariant) and not decide(theory, f, g):
+                raise NotConvertibleError
+            raise ValueError(
+                f"a witness would list {points} codomain points, "
+                f"over the budget of {WITNESS_BUDGET}"
+            )
         w = theory.witness(f, g)
     except NotConvertibleError:
         print("no witness: f does not convert to g", file=sys.stderr)

@@ -336,21 +336,46 @@ class Witness:
     j: FinFun | Relation
 
 
+def _form(variant: TheoryVariant, counts: list[int]) -> list[int]:
+    """The dense normal form of a :func:`size_counts` list, as a new list.
+
+    Multiplicity counts under set-bij, tail counts under set-inj, with the
+    excluded indices set to 0.
+    """
+    if variant is TheoryVariant.SET_INJ:
+        return [0, 0] + tail_counts(counts)[2:]
+    return counts[:1] + [0] + counts[2:]
+
+
+def _dense_form(variant: TheoryVariant, f: FinFun) -> list[int]:
+    """``f``'s normal form as a list indexed by fiber size; trailing zeros are allowed."""
+    return _form(variant, size_counts(f))
+
+
+def _dominates(a: list[int], b: list[int]) -> bool:
+    """Pointwise dominance of two dense forms of any lengths.
+
+    Never list ``>=``: that order is lexicographic.
+    """
+    return all(map(int.__ge__, a, b)) and not any(b[len(a):])
+
+
 def normal_form(variant: TheoryVariant, f: FinFun) -> Profile:
     """The complete invariant of ``f``'s convertibility class.
 
-    Multiplicity counts under set-bij, tail counts under set-inj, less the excluded indices.
+    Multiplicity counts under set-bij, tail counts under set-inj, less the
+    excluded indices.  The library compares these as dense lists; this is
+    the sparse :class:`Profile` of their nonzero entries, for callers.
     """
-    counts = size_counts(f)
-    if variant is TheoryVariant.SET_INJ:
-        counts = tail_counts(counts)
-    excluded = variant.excluded_indices
-    return Profile._trusted({i: n for i, n in enumerate(counts) if n and i not in excluded})
+    return Profile._trusted({i: n for i, n in enumerate(_dense_form(variant, f)) if n})
 
 
 def decide(variant: TheoryVariant, f: FinFun, g: FinFun) -> bool:
-    """Whether ``f`` converts to ``g``: pointwise dominance of normal forms."""
-    return normal_form(variant, f) >= normal_form(variant, g)
+    """Whether ``f`` converts to ``g``: pointwise dominance of normal forms.
+
+    The forms are compared as dense count lists; no :class:`Profile` is built.
+    """
+    return _dominates(_dense_form(variant, f), _dense_form(variant, g))
 
 
 def equivalent(variant: TheoryVariant, f: FinFun, g: FinFun) -> bool:
@@ -414,24 +439,25 @@ def _wiring(f, g, f_sizes, g_sizes, z: FinSet, j: FinFun, descending: bool) -> W
     return Witness(z, xi1, xi2, j)
 
 
-def _witness_bij(f: FinFun, g: FinFun, f_sizes: list[int], g_sizes: list[int]) -> Witness:
-    surplus = Counter(f_sizes)
-    surplus.subtract(g_sizes)
-    z = max(0, -surplus[1])
-    surplus[1] += z
-    j = realize_profile(Profile._trusted({i: n for i, n in sorted(surplus.items()) if n}))
-    return _wiring(f, g, f_sizes, g_sizes, FinSet(z), j, descending=False)
+def _padding_bij(f_counts: list[int], g_counts: list[int]) -> tuple[FinSet, FinFun]:
+    """``Z`` and ``j`` under set-bij: ``j`` realizes the surplus, ``Z`` the missing singletons."""
+    # decide holds, so the surplus is negative only at index 1
+    surplus = [a - b for a, b in itertools.zip_longest(f_counts, g_counts, fillvalue=0)]
+    z = max(0, -surplus[1]) if len(surplus) > 1 else 0
+    j = realize_profile(Profile._trusted({i: n for i, n in enumerate(surplus) if n > 0}))
+    return FinSet(z), j
 
 
-def _witness_inj(f: FinFun, g: FinFun, f_sizes: list[int], g_sizes: list[int]) -> Witness:
-    hit_f = len(f_sizes) - f_sizes.count(0)
-    hit_g = len(g_sizes) - g_sizes.count(0)
+def _padding_inj(
+    f: FinFun, g: FinFun, f_counts: list[int], g_counts: list[int]
+) -> tuple[FinSet, FinFun]:
+    """``Z`` and the output-only ``j`` under set-inj."""
+    hit_f, hit_g = sum(f_counts[1:]), sum(g_counts[1:])
     # Z covers both the codomain gap and any shortfall in hit outputs; D then
     # balances the bijection between the padded codomains.
     z = FinSet(max(0, g.cod.size - f.cod.size, hit_g - hit_f))
     d = FinSet(f.cod.size + z.size - g.cod.size)
-    j = FinFun._trusted(FinSet(0), d, ())
-    return _wiring(f, g, f_sizes, g_sizes, z, j, descending=True)
+    return z, FinFun._trusted(FinSet(0), d, ())
 
 
 def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
@@ -441,15 +467,22 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
     ``f`` over ``g`` and ``Z`` supplies any missing singleton fibers.  With
     injections free, ``j`` is output-only: ``Z`` and ``cod(j)`` pad the two
     codomains to a common size and ``xi2`` matches fibers largest-first so
-    every fiber of ``g`` fits inside its donor.
+    every fiber of ``g`` fits inside its donor.  The fiber counts are taken
+    once, for the decision and the padding; the fiber size of each codomain
+    point is listed only once the decision holds.
     """
-    if not decide(variant, f, g):
+    f_counts, g_counts = size_counts(f), size_counts(g)
+    if not _dominates(_form(variant, f_counts), _form(variant, g_counts)):
         raise NotConvertibleError(
             f"f ({f.dom.size} -> {f.cod.size}) does not convert to "
             f"g ({g.dom.size} -> {g.cod.size}) under {variant.value}"
         )
-    build = _witness_bij if variant is TheoryVariant.SET_BIJ else _witness_inj
-    return build(f, g, fiber_sizes(f), fiber_sizes(g))
+    if variant is TheoryVariant.SET_BIJ:
+        z, j = _padding_bij(f_counts, g_counts)
+    else:
+        z, j = _padding_inj(f, g, f_counts, g_counts)
+    descending = variant is TheoryVariant.SET_INJ  # largest fibers first
+    return _wiring(f, g, fiber_sizes(f), fiber_sizes(g), z, j, descending)
 
 
 def check_witness(theory, f, g, w: Witness) -> bool:

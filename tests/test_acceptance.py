@@ -125,6 +125,8 @@ def test_criterion_4_ordered_monoid_isomorphism():
     failures = []
     for variant in (BIJ, INJ):
         forms = {f: normal_form(variant, f) for f in funs}
+        # decide compares dense count lists and never builds a Profile, so
+        # the order half checks it against Profile dominance on every pair
         for f in funs:
             for g in funs:
                 if normal_form(variant, disjoint_union(f, g)) != forms[f] + forms[g]:

@@ -347,6 +347,42 @@ def test_negative_witness_on_huge_codomain_is_cheap(capsys, variant):
     assert peak < 2 * 2**20
 
 
+HUGE_REL = '{"dom":1,"cod":1000000000,"pairs":[[0,0]]}'
+
+
+@pytest.mark.parametrize(
+    "variant, morphism",
+    [("set-bij", HUGE_COD), ("set-inj", HUGE_COD), ("rel-times", HUGE_REL)],
+)
+def test_witness_over_budget_exits_65(capsys, variant, morphism):
+    # a convertible pair whose witness would list 2 * 10^9 codomain points
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "witness", "--variant", variant, "--inline", morphism, morphism)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (65, "")
+    assert err == (
+        "error: a witness would list 2000000000 codomain points, over the budget of 10000000\n"
+    )
+    assert peak < 2 * 2**20
+
+
+def test_witness_budget_counts_both_codomains(capsys, monkeypatch):
+    # MERGE and POINT have one codomain point each
+    monkeypatch.setattr(cli, "WITNESS_BUDGET", 2)
+    code, out, _ = run(capsys, "witness", "--variant", "set-bij", "--inline", MERGE, POINT)
+    assert (code, out.strip()) == (0, MERGE_WITNESS)
+    monkeypatch.setattr(cli, "WITNESS_BUDGET", 1)
+    code, out, err = run(capsys, "witness", "--variant", "set-bij", "--inline", MERGE, POINT)
+    assert (code, out) == (65, "")
+    assert err == "error: a witness would list 2 codomain points, over the budget of 1\n"
+    # a negative decision is still answered above the budget
+    code, out, err = run(capsys, "witness", "--variant", "set-bij", "--inline", POINT, MERGE)
+    assert (code, out, err) == (2, "", "no witness: f does not convert to g\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pcdres", "decide", "--variant", "set-inj",

@@ -33,6 +33,8 @@ from pcdres import (
     witness_from_dict,
     witness_to_dict,
 )
+from pcdres import convert
+from pcdres.convert import _dominates
 from pcdres.profiles import fiber_sizes
 
 BIJ = TheoryVariant.SET_BIJ
@@ -90,6 +92,62 @@ def test_decide_examples():
     empty = FinFun.from_map([], 0)
     assert not decide(BIJ, empty, unhit)
     assert decide(INJ, empty, unhit)
+
+
+def test_dominates_is_pointwise_on_lists_of_any_length():
+    assert _dominates([1], [1, 0, 0])  # trailing zeros of the longer side
+    assert not _dominates([1], [1, 0, 1])
+    assert _dominates([1, 0, 3, 0], [0, 0, 2])
+    assert not _dominates([2, 0], [1, 5])  # lexicographic >= would say True
+    assert _dominates([], []) and _dominates([0], [])
+
+
+def small_functions():
+    """Functions of up to 30 points into codomains of up to 100 points."""
+    return st.integers(0, 30).flatmap(
+        lambda n: st.integers(1 if n else 0, 100).flatmap(
+            lambda c: st.lists(st.integers(0, max(c - 1, 0)), min_size=n, max_size=n).map(
+                lambda m: FinFun.from_map(m, c)
+            )
+        )
+    )
+
+
+@settings(max_examples=300)
+@given(small_functions(), small_functions())
+def test_decide_matches_profile_dominance(f, g):
+    # covers both fiber-count regimes (cod > 2 dom counts hit points),
+    # forms of unequal length and forms ending in zeros
+    for variant in (BIJ, INJ):
+        assert decide(variant, f, g) == (normal_form(variant, f) >= normal_form(variant, g))
+
+
+def test_decide_and_witness_count_fibers_once_per_side(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(f):
+            calls[name] += 1
+            return fn(f)
+
+        return wrapper
+
+    monkeypatch.setattr(convert, "size_counts", counted("size_counts", convert.size_counts))
+    monkeypatch.setattr(convert, "fiber_sizes", counted("fiber_sizes", convert.fiber_sizes))
+    f = FinFun.from_map([0, 0, 1, 2], 4)
+    g = FinFun.from_map([0, 1], 3)
+    for variant in (BIJ, INJ):
+        calls.clear()
+        assert decide(variant, f, g)
+        assert calls == {"size_counts": 2}
+        calls.clear()
+        witness(variant, f, g)
+        # the surplus reads the decision's counts; fiber sizes of f, g and j
+        assert calls == {"size_counts": 2, "fiber_sizes": 3}
+        calls.clear()
+        with pytest.raises(NotConvertibleError):
+            witness(variant, g, f)
+        assert calls == {"size_counts": 2}
 
 
 def test_bij_conversion_implies_inj_conversion():
