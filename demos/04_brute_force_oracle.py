@@ -1,7 +1,7 @@
 """The independent route: find conversions by searching the defining equation.
 
 No profiles here.  The oracle enumerates auxiliary sizes, junk shapes, and
-free wirings, and solves the discarding side by constraint propagation.  Of
+free wirings, and builds the discarding side in one pass.  Of
 the input wirings it tries one per orbit of the symmetries the equation
 cannot see (points inside one fiber of f, singleton-fiber points together
 with the auxiliary points, and the junk inputs), and still returns the

@@ -203,73 +203,47 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         return FinFun._trusted(FinSet(c_size), FinSet(d_size), tuple(v - n_b for v in tail))
 
     def solve_discard(self, m: FinFun, g: FinFun, c_size: int, max_d: int):
-        # The equation pins xi2 pointwise on the image of m: points hit from
-        # the g-block must land exactly on g's output, points hit only from
-        # the junk block must land in the D-block, all others are free.
-        n_a, n_b = g.dom.size, g.cod.size
-        n_mid = m.cod.size
+        """The least ``xi2`` at the smallest ``D``, built in one pass over ``cod(m)``.
+
+        The equation forces ``xi2(m(i)) = g(i)`` on the ``g`` block and sends
+        the junk block's images (``must_d``) into ``D``, so ``D >= |must_d|``;
+        ``xi2`` is free only if ``D >= cod(m) - cod(g)``, with equality under
+        set-bij.  A forced point takes its image, a ``must_d`` point the next
+        slot of the junk pool ``cod(g) .. cod(g) + D - 1``, any other point
+        the next unforced ``cod(g)`` value and, once those run out, the next
+        junk slot.
+
+        - The pools never run dry: the junk pool serves only ``must_d`` while
+          unforced ``cod(g)`` values last, and ``cod(m) - cod(g)`` points in
+          all if they run out; either way at most ``D``.
+        - No free point takes a junk slot a later ``must_d`` point needs: a
+          free point reaches the junk pool only when every point left needs
+          a slot, so the slots left exceed the ``must_d`` points left.
+        - ``xi2`` is the least admissible map, the first the enumeration in
+          ``TheoryInstance.solve_discard`` finds: both pools ascend, so each
+          point takes the least value still free to it.
+        """
+        n_a, n_b, n_mid = g.dom.size, g.cod.size, m.cod.size
         forced: dict[int, int] = {}
-        must_d: set[int] = set()
-        for i, t in enumerate(m.map):
-            if i < n_a:
-                b = g.map[i]
-                if t in must_d:
-                    return None
-                prev = forced.get(t)
-                if prev is None:
-                    forced[t] = b
-                elif prev != b:
-                    return None
-            else:
-                if t in forced:
-                    return None
-                must_d.add(t)
-        values = list(forced.values())
-        if len(set(values)) != len(values):
+        for t, b in zip(m.map, g.map):
+            if forced.setdefault(t, b) != b:
+                return None
+        taken = set(forced.values())
+        if len(taken) != len(forced) or not forced.keys().isdisjoint(m.map[n_a:]):
             return None
-        if self is TheoryVariant.SET_BIJ:
-            d = n_mid - n_b
-            if d < 0 or d > max_d or len(must_d) > d:
-                return None
-        else:
-            d = max(0, n_mid - n_b, len(must_d))
-            if d > max_d:
-                return None
-        used = set(values)
-        free_d = d  # forced targets all sit in the g block
-        must_left = len(must_d)
-        xi2_map = [0] * n_mid
-        for t in range(n_mid):
-            if t in forced:
-                xi2_map[t] = forced[t]
-            elif t in must_d:
-                slot = next(v for v in range(n_b, n_b + d) if v not in used)
-                xi2_map[t] = slot
-                used.add(slot)
-                free_d -= 1
-                must_left -= 1
-            else:
-                choice = None
-                for v in range(n_b + d):
-                    if v in used:
-                        continue
-                    if v >= n_b and free_d - 1 < must_left:
-                        continue  # would starve a junk-block point still to come
-                    choice = v
-                    break
-                if choice is None:
-                    return None
-                xi2_map[t] = choice
-                used.add(choice)
-                if choice >= n_b:
-                    free_d -= 1
+        must_d = set(m.map[n_a:])
+        d = max(n_mid - n_b, len(must_d), 0)
+        if d > max_d or (self is TheoryVariant.SET_BIJ and d != n_mid - n_b):
+            return None
+        junk = iter(range(n_b, n_b + d))
+        free = itertools.chain([v for v in range(n_b) if v not in taken], junk)
+        xi2_map = [
+            forced[t] if t in forced else next(junk if t in must_d else free)
+            for t in range(n_mid)
+        ]
         xi2 = FinFun._trusted(m.cod, FinSet(n_b + d), tuple(xi2_map))
-        j = FinFun._trusted(
-            FinSet(c_size),
-            FinSet(d),
-            tuple(xi2_map[m.map[n_a + i]] - n_b for i in range(c_size)),
-        )
-        return xi2, j
+        j = tuple([xi2_map[t] - n_b for t in m.map[n_a:]])
+        return xi2, FinFun._trusted(FinSet(c_size), FinSet(d), j)
 
 
 @lru_cache(maxsize=None)

@@ -14,10 +14,10 @@ The search scans ``Z`` ascending, then ``C``, then ``xi1`` in enumeration
 order; for each ``xi1`` the discarding side is resolved with the smallest
 feasible ``D`` and the lexicographically least ``xi2``, so the returned
 witness is the first one in that fixed order.  The set theories are the
-:class:`~pcdres.convert.TheoryVariant` members themselves; they solve for
-``xi2`` by constraint propagation (each point of ``cod(f) + Z`` has at most
-one admissible image, forced by the equation).  The relational theory falls
-back to plain enumeration of free morphisms.
+:class:`~pcdres.convert.TheoryVariant` members themselves; they build that
+``xi2`` in one pass, each point of ``cod(f) + Z`` taking its forced image or
+the least value still free to it (proof in ``TheoryVariant.solve_discard``).
+The relational theory falls back to plain enumeration of free morphisms.
 
 The set theories also skip most wirings ``xi1 : A + C -> dom(f) + Z``
 (``TheoryInstance.xi1_candidates``).  Three symmetries of the equation

@@ -11,8 +11,9 @@ import tracemalloc
 
 import pytest
 
-from pcdres import cli, relation_from_dict
+from pcdres import cli, convert, relation_from_dict
 from pcdres.cli import main
+from pcdres.convert import normal_form
 
 MERGE = '{"dom":2,"cod":1,"map":[0,0]}'
 POINT = '{"dom":1,"cod":1,"map":[0]}'
@@ -90,6 +91,21 @@ def test_equiv(capsys):
     assert (code, out) == (0, '{"profile":{}}\n')
     code, out, _ = run(capsys, "equiv", "--variant", "set-bij", "--inline", MERGE, POINT)
     assert (code, out) == (1, "inequivalent\n")
+
+
+def test_equiv_builds_one_normal_form_per_side(capsys, monkeypatch):
+    calls = []
+
+    def counted(variant, f):
+        calls.append(f)
+        return normal_form(variant, f)
+
+    # the library's ``equivalent`` reads the convert module's name, the CLI its own
+    monkeypatch.setattr(convert, "normal_form", counted)
+    monkeypatch.setattr(cli, "normal_form", counted)
+    code, out, _ = run(capsys, "equiv", "--variant", "set-bij", "--inline", MERGE, MERGE)
+    assert (code, out) == (0, '{"profile":{"2":1}}\n')
+    assert len(calls) == 2
 
 
 def test_oracle_finds_and_misses(capsys):
@@ -224,6 +240,13 @@ def test_deeply_nested_json_exit_64(capsys, tmp_path):
     code, out, err = run(capsys, "profile", str(path))
     assert (code, out) == (64, "")
     assert f"nested too deeply in {path}" in err
+
+
+def test_oversized_json_integer_exit_64(capsys):
+    huge = '{"dom":1,"cod":' + "9" * 5000 + ',"map":[0]}'
+    code, out, err = run(capsys, "decide", "--variant", "set-bij", "--inline", huge, POINT)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: invalid JSON in inline argument: ")
 
 
 def test_check_witness_relational_rejects_tampering(capsys):

@@ -2,8 +2,8 @@
 
 The search is the independent route: it never looks at fiber profiles, only at
 the defining equation.  These tests pin its output on worked examples, compare
-the constraint-propagation solver and the symmetry-reduced ``xi1`` scan
-against plain enumeration, and check the order structure the search recovers.
+the one-pass discarding solver and the symmetry-reduced ``xi1`` scan against
+plain enumeration, and check the order structure the search recovers.
 """
 
 import gc
@@ -137,6 +137,22 @@ def test_propagation_matches_plain_enumeration():
                 expected = oracle_convertible(naive, f, g, bounds)
                 got = oracle_convertible(fast, f, g, bounds)
                 assert expected == got
+
+
+def test_discard_solver_matches_enumeration_reference():
+    # solver against reference on every (m, g, c), not only the m some
+    # canonical xi1 produces, so the one-pass pools meet arbitrary demands
+    cases = 0
+    for variant in TheoryVariant:
+        for m_dom, m_cod in itertools.product(range(4), range(5)):
+            for m in enumerate_functions(m_dom, m_cod):
+                for g_dom, g_cod in itertools.product(range(m_dom + 1), range(3)):
+                    for g in enumerate_functions(g_dom, g_cod):
+                        c = m_dom - g_dom
+                        expected = TheoryInstance.solve_discard(variant, m, g, c, 3)
+                        assert variant.solve_discard(m, g, c, 3) == expected, (variant, m, g)
+                        cases += 1
+    assert cases == 4810
 
 
 def test_symmetry_reduced_scan_matches_plain_scan():
