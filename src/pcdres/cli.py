@@ -83,7 +83,7 @@ def _load_json(arg: str, inline: bool):
     else:
         where = arg
         try:
-            text = Path(arg).read_text()
+            text = Path(arg).read_bytes()  # json.loads detects the UTF-8/16/32 encoding
         except OSError as exc:
             raise FormatError(f"cannot read {arg}: {exc.strerror or exc}") from None
     try:
@@ -236,46 +236,45 @@ def _build_parser() -> _Parser:
     limit = _Parser(add_help=False)
     limit.add_argument("--size-limit", type=_nonneg, default=2)
 
+    pair = _Parser(add_help=False)
+    pair.add_argument("f")
+    pair.add_argument("g")
+
+    measures = _Parser(add_help=False)
+    measures.add_argument(
+        "--measure", action="append", choices=sorted(BUILTIN_MEASURES), default=None
+    )
+
     sub = subs.add_parser("profile", parents=[inline], help="print fiber profiles")
     sub.add_argument("morphism")
     sub.set_defaults(handler=_cmd_profile)
 
     sub = subs.add_parser(
-        "decide", parents=[set_variant, inline], help="decide convertibility"
+        "decide", parents=[set_variant, inline, pair], help="decide convertibility"
     )
-    sub.add_argument("f")
-    sub.add_argument("g")
     sub.set_defaults(handler=_cmd_decide)
 
     sub = subs.add_parser(
-        "witness", parents=[any_variant, inline], help="synthesize a conversion witness"
+        "witness", parents=[any_variant, inline, pair], help="synthesize a conversion witness"
     )
-    sub.add_argument("f")
-    sub.add_argument("g")
     sub.set_defaults(handler=_cmd_witness)
 
     sub = subs.add_parser(
-        "check-witness", parents=[any_variant, inline], help="verify a witness"
+        "check-witness", parents=[any_variant, inline, pair], help="verify a witness"
     )
-    sub.add_argument("f")
-    sub.add_argument("g")
     sub.add_argument("w")
     sub.set_defaults(handler=_cmd_check_witness)
 
     sub = subs.add_parser(
-        "equiv", parents=[set_variant, inline], help="test equivalence, print normal form"
+        "equiv", parents=[set_variant, inline, pair], help="test equivalence, print normal form"
     )
-    sub.add_argument("f")
-    sub.add_argument("g")
     sub.set_defaults(handler=_cmd_equiv)
 
     sub = subs.add_parser(
         "oracle",
-        parents=[any_variant, inline, bounds],
+        parents=[any_variant, inline, bounds, pair],
         help="search for a witness by brute force",
     )
-    sub.add_argument("f")
-    sub.add_argument("g")
     sub.set_defaults(handler=_cmd_oracle)
 
     sub = subs.add_parser(
@@ -287,21 +286,15 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser(
         "monotone-check",
-        parents=[set_variant, limit],
+        parents=[set_variant, limit, measures],
         help="screen built-in measures",
-    )
-    sub.add_argument(
-        "--measure", action="append", choices=sorted(BUILTIN_MEASURES), default=None
     )
     sub.set_defaults(handler=_cmd_monotone_check)
 
     sub = subs.add_parser(
         "family-check",
-        parents=[set_variant, limit],
+        parents=[set_variant, limit, measures],
         help="check a family of measures for completeness",
-    )
-    sub.add_argument(
-        "--measure", action="append", choices=sorted(BUILTIN_MEASURES), default=None
     )
     sub.set_defaults(handler=_cmd_family_check)
 

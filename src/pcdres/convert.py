@@ -381,18 +381,16 @@ def representative(variant: TheoryVariant, form: Profile) -> FinFun:
     return realize_profile(Profile(multiplicities))
 
 
-def _wiring(f, g, f_sizes, g_sizes, z: FinSet, j: FinFun, descending: bool) -> Witness:
-    """The witness wiring ``F = f + 1_Z`` to ``G = g + j``, matching fibers by size.
+def _wiring(F: FinFun, G: FinFun, descending: bool) -> tuple[FinFun, FinFun]:
+    """``(xi1, xi2)`` with ``xi2 . F . xi1 = G``, matching fibers by size.
 
-    ``f_sizes`` and ``g_sizes`` are the fiber sizes of ``f`` and ``g``.  ``xi2``
-    pairs the codomain points of ``F`` and ``G`` in order of fiber size, and
-    ``xi1`` sends each input of ``G`` to the least unused input of ``F`` in the
-    partner fiber.  The sorts are stable, so ties go to the lowest index.
+    ``F = f + 1_Z`` and ``G = g + j`` are the padded pair, whose fibers have
+    the same sizes in some order.  ``xi2`` pairs the codomain points of ``F``
+    and ``G`` in order of fiber size, and ``xi1`` sends each input of ``G`` to
+    the least unused input of ``F`` in the partner fiber.  The sorts are
+    stable, so ties go to the lowest index.
     """
-    F = disjoint_union(f, identity(z))
-    G = disjoint_union(g, j)
-    F_sizes = f_sizes + [1] * z.size
-    G_sizes = g_sizes + fiber_sizes(j)
+    F_sizes, G_sizes = fiber_sizes(F), fiber_sizes(G)
     f_order = sorted(range(F.cod.size), key=F_sizes.__getitem__, reverse=descending)
     g_order = sorted(range(G.cod.size), key=G_sizes.__getitem__, reverse=descending)
     start = list(itertools.accumulate(F_sizes, initial=0))  # fiber y's first slot in by_fiber
@@ -401,7 +399,8 @@ def _wiring(f, g, f_sizes, g_sizes, z: FinSet, j: FinFun, descending: bool) -> W
     for y, b in zip(f_order, g_order):
         xi2_map[y] = b
         next_free[b] = start[y]
-    del f_order, g_order, start  # freed before the domain sort, to keep peak memory down
+    # freed before the domain sort, to keep peak memory down
+    del F_sizes, G_sizes, f_order, g_order, start
     # F's inputs grouped by fiber, ascending within each
     by_fiber = sorted(range(F.dom.size), key=F.map.__getitem__)
     xi1_map = []
@@ -410,28 +409,7 @@ def _wiring(f, g, f_sizes, g_sizes, z: FinSet, j: FinFun, descending: bool) -> W
         next_free[b] += 1
     xi1 = FinFun._trusted(G.dom, F.dom, tuple(xi1_map))
     xi2 = FinFun._trusted(F.cod, G.cod, tuple(xi2_map))
-    return Witness(z, xi1, xi2, j)
-
-
-def _padding_bij(f_counts: list[int], g_counts: list[int]) -> tuple[FinSet, FinFun]:
-    """``Z`` and ``j`` under set-bij: ``j`` realizes the surplus, ``Z`` the missing singletons."""
-    # decide holds, so the surplus is negative only at index 1
-    surplus = [a - b for a, b in itertools.zip_longest(f_counts, g_counts, fillvalue=0)]
-    z = max(0, -surplus[1]) if len(surplus) > 1 else 0
-    j = realize_profile(Profile._trusted({i: n for i, n in enumerate(surplus) if n > 0}))
-    return FinSet(z), j
-
-
-def _padding_inj(
-    f: FinFun, g: FinFun, f_counts: list[int], g_counts: list[int]
-) -> tuple[FinSet, FinFun]:
-    """``Z`` and the output-only ``j`` under set-inj."""
-    hit_f, hit_g = sum(f_counts[1:]), sum(g_counts[1:])
-    # Z covers both the codomain gap and any shortfall in hit outputs; D then
-    # balances the bijection between the padded codomains.
-    z = FinSet(max(0, g.cod.size - f.cod.size, hit_g - hit_f))
-    d = FinSet(f.cod.size + z.size - g.cod.size)
-    return z, FinFun._trusted(FinSet(0), d, ())
+    return xi1, xi2
 
 
 def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
@@ -442,8 +420,9 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
     injections free, ``j`` is output-only: ``Z`` and ``cod(j)`` pad the two
     codomains to a common size and ``xi2`` matches fibers largest-first so
     every fiber of ``g`` fits inside its donor.  The fiber counts are taken
-    once, for the decision and the padding; the fiber size of each codomain
-    point is listed only once the decision holds.
+    once, for the decision and the padding; only once the decision holds
+    does :func:`_wiring` list the fiber sizes of ``F = f + 1_Z`` and
+    ``G = g + j``, built with the theory's ``pad`` and ``tensor``.
     """
     f_counts, g_counts = size_counts(f), size_counts(g)
     if not _dominates(_form(variant, f_counts), _form(variant, g_counts)):
@@ -452,11 +431,18 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
             f"g ({g.dom.size} -> {g.cod.size}) under {variant.value}"
         )
     if variant is TheoryVariant.SET_BIJ:
-        z, j = _padding_bij(f_counts, g_counts)
+        # decide holds, so the surplus is negative only at index 1
+        surplus = [a - b for a, b in itertools.zip_longest(f_counts, g_counts, fillvalue=0)]
+        z = FinSet(max(0, -surplus[1]) if len(surplus) > 1 else 0)
+        j = realize_profile(Profile._trusted({i: n for i, n in enumerate(surplus) if n > 0}))
     else:
-        z, j = _padding_inj(f, g, f_counts, g_counts)
-    descending = variant is TheoryVariant.SET_INJ  # largest fibers first
-    return _wiring(f, g, fiber_sizes(f), fiber_sizes(g), z, j, descending)
+        # Z covers both the codomain gap and any shortfall in hit outputs;
+        # cod(j) then balances the bijection between the padded codomains.
+        hit_f, hit_g = sum(f_counts[1:]), sum(g_counts[1:])
+        z = FinSet(max(0, g.cod.size - f.cod.size, hit_g - hit_f))
+        j = FinFun._trusted(FinSet(0), FinSet(f.cod.size + z.size - g.cod.size), ())
+    xi1, xi2 = _wiring(variant.pad(f, z), variant.tensor(g, j), variant is TheoryVariant.SET_INJ)
+    return Witness(z, xi1, xi2, j)
 
 
 def check_witness(theory, f, g, w: Witness) -> bool:

@@ -35,7 +35,7 @@ import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .convert import TheoryVariant, normal_form, representative
+from .convert import TheoryVariant, _dense_form, _dominates, normal_form, representative
 from .finset import (
     FinFun,
     compose,
@@ -278,8 +278,8 @@ def check_complete_family(
 ) -> FamilyReport:
     """Test whether joint dominance of the measures coincides with ``decide``.
 
-    Each enumerated function's normal form is computed once and pairs are
-    compared with ``>=``, the criterion :func:`decide` applies.
+    Each enumerated function's dense normal form is computed once and pairs
+    are compared with the dominance test :func:`decide` applies.
 
     Every member must individually pass :func:`check_measure`; a member that
     does not is rejected up front rather than reported as incompleteness.
@@ -293,12 +293,12 @@ def check_complete_family(
             )
     names = tuple(mu.name for mu in measures)
     funs = list(enumerate_all_functions(size_limit))
-    forms = [normal_form(variant, f) for f in funs]
+    forms = [_dense_form(variant, f) for f in funs]
     values = [tuple(mu(f) for mu in measures) for f in funs]
     rows = list(zip(funs, forms, values))
     for (f, ff, vf), (g, fg, vg) in itertools.product(rows, repeat=2):
         dominates = all(a >= b - tolerance for a, b in zip(vf, vg))
-        converts = ff >= fg
+        converts = _dominates(ff, fg)
         if converts and not dominates:
             drop = next(
                 name for name, a, b in zip(names, vf, vg) if a < b - tolerance

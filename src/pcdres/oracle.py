@@ -137,7 +137,7 @@ class RelTimesTheory(TheoryInstance):
     def morphisms(self, dom: FinSet, cod: FinSet):
         cells = list(itertools.product(range(dom.size), range(cod.size)))
         for bits in itertools.product((False, True), repeat=len(cells)):
-            yield Relation.from_pairs(dom.size, cod.size, itertools.compress(cells, bits))
+            yield Relation._trusted(dom, cod, frozenset(itertools.compress(cells, bits)))
 
     def free_morphisms(self, dom: FinSet, cod: FinSet):
         return iter(_fun_graphs(dom.size, cod.size))
@@ -150,7 +150,8 @@ class RelTimesTheory(TheoryInstance):
         if h.dom.size != n_a * c_size or h.cod.size != n_b * d_size:
             return None
         # the only candidate is h's projection onto the junk coordinates
-        j = Relation.from_pairs(c_size, d_size, ((x % c_size, y % d_size) for x, y in h.pairs()))
+        graph = frozenset((x % c_size, y % d_size) for x, y in h.graph)
+        j = Relation._trusted(FinSet(c_size), FinSet(d_size), graph)
         return j if rel_product(g, j) == h else None
 
 
@@ -200,11 +201,11 @@ def relx_convert(f: Relation, g: Relation) -> Witness:
     part of the equation is then the empty relation on the empty set.
     """
     if g.cod.size == 0 and f.cod.size > 0:
-        empty = Relation.from_pairs(0, 0, ())
+        empty = Relation._trusted(FinSet(0), FinSet(0), frozenset())
         return Witness(FinSet(0), empty, empty, empty)
-    xi1 = Relation.from_pairs(0, f.dom.size, ())
+    xi1 = Relation._trusted(FinSet(0), f.dom, frozenset())
     xi2 = rel_of_fun(FinFun._trusted(f.cod, g.cod, (0,) * f.cod.size))
-    j = Relation.from_pairs(0, 1, ())
+    j = Relation._trusted(FinSet(0), FinSet(1), frozenset())
     return Witness(FinSet(1), xi1, xi2, j)
 
 

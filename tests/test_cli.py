@@ -242,6 +242,24 @@ def test_deeply_nested_json_exit_64(capsys, tmp_path):
     assert f"nested too deeply in {path}" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff", b"\xff\xfe"], ids=["invalid-utf8", "utf16-bom"])
+@pytest.mark.parametrize("verb", ["profile", "decide"])
+def test_undecodable_file_exit_64(capsys, tmp_path, content, verb):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    args = [str(path)] if verb == "profile" else ["--variant", "set-bij", str(path), str(path)]
+    code, out, err = run(capsys, verb, *args)
+    assert (code, out) == (64, "")
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+
+
+def test_utf16_file_is_read(capsys, tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text(POINT, encoding="utf-16")
+    code, out, err = run(capsys, "decide", "--variant", "set-bij", str(path), str(path))
+    assert (code, out, err) == (0, "convertible\n", "")
+
+
 def test_oversized_json_integer_exit_64(capsys):
     huge = '{"dom":1,"cod":' + "9" * 5000 + ',"map":[0]}'
     code, out, err = run(capsys, "decide", "--variant", "set-bij", "--inline", huge, POINT)
@@ -404,6 +422,146 @@ def test_witness_budget_counts_both_codomains(capsys, monkeypatch):
     # a negative decision is still answered above the budget
     code, out, err = run(capsys, "witness", "--variant", "set-bij", "--inline", POINT, MERGE)
     assert (code, out, err) == (2, "", "no witness: f does not convert to g\n")
+
+
+MEASURE_CHOICES = (
+    "{cod_size,dom_size,gamma_0,gamma_1,gamma_2,gamma_3,gamma_4,gamma_5,gamma_6,gamma_7,"
+    "gamma_8,phi_0,phi_1,phi_2,phi_3,phi_4,phi_5,phi_6,phi_7,phi_8}"
+)
+
+# each verb's --help at 80 columns; shared parent parsers must keep every verb's text
+HELP = {
+    "profile": """\
+usage: pcdres profile [-h] [--inline] morphism
+
+positional arguments:
+  morphism
+
+options:
+  -h, --help  show this help message and exit
+  --inline    treat morphism arguments as JSON text rather than file paths
+""",
+    "decide": """\
+usage: pcdres decide [-h] --variant {set-bij,set-inj} [--inline] f g
+
+positional arguments:
+  f
+  g
+
+options:
+  -h, --help            show this help message and exit
+  --variant {set-bij,set-inj}
+  --inline              treat morphism arguments as JSON text rather than file
+                        paths
+""",
+    "witness": """\
+usage: pcdres witness [-h] --variant {set-bij,set-inj,rel-times} [--inline]
+                      f g
+
+positional arguments:
+  f
+  g
+
+options:
+  -h, --help            show this help message and exit
+  --variant {set-bij,set-inj,rel-times}
+  --inline              treat morphism arguments as JSON text rather than file
+                        paths
+""",
+    "check-witness": """\
+usage: pcdres check-witness [-h] --variant {set-bij,set-inj,rel-times}
+                            [--inline]
+                            f g w
+
+positional arguments:
+  f
+  g
+  w
+
+options:
+  -h, --help            show this help message and exit
+  --variant {set-bij,set-inj,rel-times}
+  --inline              treat morphism arguments as JSON text rather than file
+                        paths
+""",
+    "equiv": """\
+usage: pcdres equiv [-h] --variant {set-bij,set-inj} [--inline] f g
+
+positional arguments:
+  f
+  g
+
+options:
+  -h, --help            show this help message and exit
+  --variant {set-bij,set-inj}
+  --inline              treat morphism arguments as JSON text rather than file
+                        paths
+""",
+    "oracle": """\
+usage: pcdres oracle [-h] --variant {set-bij,set-inj,rel-times} [--inline]
+                     [--max-z MAX_Z] [--max-c MAX_C] [--max-d MAX_D]
+                     f g
+
+positional arguments:
+  f
+  g
+
+options:
+  -h, --help            show this help message and exit
+  --variant {set-bij,set-inj,rel-times}
+  --inline              treat morphism arguments as JSON text rather than file
+                        paths
+  --max-z MAX_Z
+  --max-c MAX_C
+  --max-d MAX_D
+""",
+    "preorder-table": """\
+usage: pcdres preorder-table [-h] --variant {set-bij,set-inj,rel-times}
+                             [--max-z MAX_Z] [--max-c MAX_C] [--max-d MAX_D]
+                             [--size-limit SIZE_LIMIT]
+
+options:
+  -h, --help            show this help message and exit
+  --variant {set-bij,set-inj,rel-times}
+  --max-z MAX_Z
+  --max-c MAX_C
+  --max-d MAX_D
+  --size-limit SIZE_LIMIT
+""",
+    "monotone-check": """\
+usage: pcdres monotone-check [-h] --variant {set-bij,set-inj}
+                             [--size-limit SIZE_LIMIT]
+                             [--measure <measures>]
+
+options:
+  -h, --help            show this help message and exit
+  --variant {set-bij,set-inj}
+  --size-limit SIZE_LIMIT
+  --measure <measures>
+""",
+    "family-check": """\
+usage: pcdres family-check [-h] --variant {set-bij,set-inj}
+                           [--size-limit SIZE_LIMIT]
+                           [--measure <measures>]
+
+options:
+  -h, --help            show this help message and exit
+  --variant {set-bij,set-inj}
+  --size-limit SIZE_LIMIT
+  --measure <measures>
+""",
+}
+
+
+@pytest.mark.parametrize("verb", list(HELP))
+def test_verb_help_is_unchanged(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 0
+    expected = HELP[verb].replace("<measures>", MEASURE_CHOICES)
+    assert out.replace("optional arguments:", "options:") == expected  # Python 3.10 header
 
 
 def test_module_entry_point():

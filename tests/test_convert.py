@@ -142,8 +142,8 @@ def test_decide_and_witness_count_fibers_once_per_side(monkeypatch):
         assert calls == {"size_counts": 2}
         calls.clear()
         witness(variant, f, g)
-        # the surplus reads the decision's counts; fiber sizes of f, g and j
-        assert calls == {"size_counts": 2, "fiber_sizes": 3}
+        # the padding reads the decision's counts; fiber sizes of F = f + 1_Z and G = g + j
+        assert calls == {"size_counts": 2, "fiber_sizes": 2}
         calls.clear()
         with pytest.raises(NotConvertibleError):
             witness(variant, g, f)

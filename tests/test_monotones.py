@@ -292,6 +292,46 @@ def test_family_check_matches_decide(variant):
         assert report.counterexample == mismatch
 
 
+def _reference_family(variant, family, size_limit):
+    """The family check on sparse ``Profile`` normal forms compared with ``>=``."""
+    for mu in family:
+        if not check_measure(variant, mu, size_limit).passed:
+            return f"family member {mu.name} fails screening"
+    funs = list(enumerate_all_functions(size_limit))
+    rows = [(f, normal_form(variant, f), [mu(f) for mu in family]) for f in funs]
+    for (f, ff, vf), (g, fg, vg) in itertools.product(rows, repeat=2):
+        dominates = all(a >= b - monotones.TOLERANCE for a, b in zip(vf, vg))
+        if ff >= fg and not dominates:
+            drop = next(mu.name for mu, a, b in zip(family, vf, vg) if a < b - monotones.TOLERANCE)
+            return False, (f, g), f"{drop} decreases along a conversion"
+        if dominates and not ff >= fg:
+            return False, (f, g), "all measures dominate but f does not convert to g"
+    return True, None, ""
+
+
+@pytest.mark.parametrize("variant", [BIJ, INJ], ids=lambda v: v.value)
+def test_family_check_matches_profile_reference(variant, monkeypatch):
+    screened = {}
+
+    def screen_once(variant, mu, size_limit, tolerance=monotones.TOLERANCE):
+        key = (variant, mu.name, size_limit, tolerance)
+        if key not in screened:
+            screened[key] = check_measure(variant, mu, size_limit, tolerance)
+        return screened[key]
+
+    monkeypatch.setattr(monotones, "check_measure", screen_once)
+    families = [default_family(v) for v in (BIJ, INJ)]
+    families += [[mu] for mu in BUILTIN_MEASURES.values()]
+    for family in families:
+        expected = _reference_family(variant, family, 3)
+        try:
+            report = check_complete_family(variant, family, 3)
+        except MeasureRejected as exc:
+            assert str(exc) == expected
+        else:
+            assert (report.passed, report.counterexample, report.note) == expected
+
+
 def test_measure_is_evaluated_once_per_process(monkeypatch):
     calls = []
 
@@ -309,12 +349,13 @@ def test_measure_is_evaluated_once_per_process(monkeypatch):
         assert len(calls) == n + n * n == 60 + 3600
 
     forms = []
+    dense_form = monotones._dense_form
 
     def counted_form(variant, f):
         forms.append(f)
-        return normal_form(variant, f)
+        return dense_form(variant, f)
 
-    monkeypatch.setattr(monotones, "normal_form", counted_form)
+    monkeypatch.setattr(monotones, "_dense_form", counted_form)
     for variant in (BIJ, INJ):
         calls.clear()
         forms.clear()

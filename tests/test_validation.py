@@ -16,7 +16,9 @@ from pcdres import (
     FinFun,
     FinSet,
     FormatError,
+    REL_TIMES_THEORY,
     Profile,
+    Relation,
     TheoryVariant,
     braiding,
     compose,
@@ -32,7 +34,9 @@ from pcdres import (
     phi_profile,
     profile_from_dict,
     realize_profile,
+    rel_product,
     relation_from_dict,
+    relx_convert,
     witness,
     witness_from_dict,
 )
@@ -194,6 +198,39 @@ def test_solve_discard_outputs_come_out_validated():
         assert split == FinFun.from_map([1, 0], 2)
         assert_as_validated(split)
     assert solved == 70 + 97
+
+
+def assert_rel_as_validated(r):
+    """``r`` equals, and hashes like, its pairs passed through the public constructor."""
+    assert isinstance(r.graph, frozenset)
+    again = Relation(r.dom, r.cod, r.graph)
+    assert again == r and hash(again) == hash(r)
+
+
+def test_rel_times_outputs_come_out_validated():
+    theory = REL_TIMES_THEORY
+    rels = [
+        r
+        for d in range(3)
+        for c in range(3)
+        for r in theory.morphisms(FinSet(d), FinSet(c))
+    ]
+    for r in rels:
+        assert_rel_as_validated(r)
+    small = [r for r in rels if r.dom.size * r.cod.size <= 2]
+    split = 0
+    for g in small:
+        for j in small:
+            h = rel_product(g, j)
+            found = theory.split_tensor(h, g, j.dom.size, j.cod.size)
+            if found is not None:
+                assert_rel_as_validated(found)
+                split += 1
+        for f in small:
+            w = relx_convert(f, g)
+            for part in (w.xi1, w.xi2, w.j):
+                assert_rel_as_validated(part)
+    assert split == len(small) ** 2
 
 
 FUN = {"dom": 1, "cod": 1, "map": [0]}
