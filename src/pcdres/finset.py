@@ -27,6 +27,13 @@ valid parts (composites, products, disjoint unions, identities,
 enumerations, witnesses) are in range by construction and go through the
 private trusted constructors ``FinFun._trusted`` and ``Relation._trusted``,
 which check nothing.
+
+The value types are cheap to build and hash, because the search layers build
+tens of thousands per call.  ``FinSet`` instances are shared per size:
+``FinSet(n)`` for a plain ``int`` below a fixed bound returns one instance
+per ``n``.  ``FinFun`` and ``Relation`` are slotted frozen dataclasses.
+Their trusted constructors set the slots directly, and they hash their two
+sizes with their entries or pairs.
 """
 
 from __future__ import annotations
@@ -40,15 +47,45 @@ class FormatError(ValueError):
     """A serialized value violated the wire format; the message names the field."""
 
 
-@dataclass(frozen=True)
-class FinSet:
-    """The canonical finite set {0, ..., size - 1}."""
+# FinSet(n) for an ``int`` n below this bound returns one shared instance per size.
+_SHARED_SIZES = 4096
+_shared: dict[int, FinSet] = {}
 
+# The value types declare ``__slots__`` by hand: ``dataclass(slots=True)``
+# rebuilds the class, and on Python 3.10 and 3.11 its frozen ``__setattr__``
+# then raises TypeError, not FrozenInstanceError, for a non-field name.  A
+# frozen slotted instance cannot be restored slot by slot, so each class
+# pickles and copies through ``__reduce__``.
+
+
+@dataclass(frozen=True, init=False)
+class FinSet:
+    """The canonical finite set {0, ..., size - 1}.
+
+    Every ``FinSet(n)`` with ``n`` a plain ``int`` below a fixed bound is the
+    same instance, so building one costs a dict lookup; larger sizes and
+    ``int`` subclasses build a new, equal instance.
+    """
+
+    __slots__ = ("size",)
     size: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 0:
-            raise ValueError(f"FinSet size must be a non-negative integer, got {self.size!r}")
+    def __new__(cls, size: int) -> FinSet:
+        if type(size) is int:  # never a bool, whose hash would find the entry of 0 or 1
+            try:
+                return _shared[size]
+            except KeyError:
+                pass
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+            raise ValueError(f"FinSet size must be a non-negative integer, got {size!r}")
+        s = object.__new__(cls)
+        object.__setattr__(s, "size", size)
+        if type(size) is int and size < _SHARED_SIZES:
+            _shared[size] = s
+        return s
+
+    def __reduce__(self):
+        return FinSet, (self.size,)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.size))
@@ -86,6 +123,7 @@ def _first_bad_entry(entries: Sequence[object], cod_size: int) -> int | None:
 class FinFun:
     """A total function between canonical finite sets, stored as its graph."""
 
+    __slots__ = ("dom", "cod", "map")
     dom: FinSet
     cod: FinSet
     map: tuple[int, ...]
@@ -106,10 +144,10 @@ class FinFun:
 
         ``entries`` must be a tuple of ``dom.size`` elements of ``cod``.
         """
-        f = object.__new__(cls)
-        object.__setattr__(f, "dom", dom)
-        object.__setattr__(f, "cod", cod)
-        object.__setattr__(f, "map", entries)
+        f = _new(cls)
+        _set_fun_dom(f, dom)
+        _set_fun_cod(f, cod)
+        _set_fun_map(f, entries)
         return f
 
     @classmethod
@@ -121,8 +159,21 @@ class FinFun:
     def __call__(self, x: int) -> int:
         return self.map[x]
 
+    def __hash__(self) -> int:
+        return hash((self.dom.size, self.cod.size, self.map))
+
+    def __reduce__(self):
+        return FinFun, (self.dom, self.cod, self.map)
+
     def __repr__(self) -> str:
         return f"FinFun({list(self.map)}: {self.dom.size} -> {self.cod.size})"
+
+
+# The trusted constructors set the slots through these, bound once.
+_new = object.__new__
+_set_fun_dom, _set_fun_cod, _set_fun_map = (
+    FinFun.dom.__set__, FinFun.cod.__set__, FinFun.map.__set__
+)
 
 
 def identity(x: FinSet | int) -> FinFun:
@@ -132,7 +183,7 @@ def identity(x: FinSet | int) -> FinFun:
 
 def compose(late: FinFun, early: FinFun) -> FinFun:
     """The composite ``late . early`` (apply ``early`` first)."""
-    if early.cod != late.dom:
+    if early.cod.size != late.dom.size:
         raise ValueError(
             f"cannot compose: codomain {early.cod.size} does not match domain {late.dom.size}"
         )
@@ -202,6 +253,7 @@ class Relation:
     and writes, never to ``dom.size * cod.size``.
     """
 
+    __slots__ = ("dom", "cod", "graph")
     dom: FinSet
     cod: FinSet
     graph: frozenset[tuple[int, int]]
@@ -216,10 +268,10 @@ class Relation:
     @classmethod
     def _trusted(cls, dom: FinSet, cod: FinSet, graph: frozenset[tuple[int, int]]) -> Relation:
         """Build without validation, for pairs that are in range by construction."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "dom", dom)
-        object.__setattr__(r, "cod", cod)
-        object.__setattr__(r, "graph", graph)
+        r = _new(cls)
+        _set_rel_dom(r, dom)
+        _set_rel_cod(r, cod)
+        _set_rel_graph(r, graph)
         return r
 
     @classmethod
@@ -232,8 +284,19 @@ class Relation:
         """The related pairs in lexicographic order."""
         return tuple(sorted(self.graph))
 
+    def __hash__(self) -> int:
+        return hash((self.dom.size, self.cod.size, self.graph))
+
+    def __reduce__(self):
+        return Relation, (self.dom, self.cod, self.graph)
+
     def __repr__(self) -> str:
         return f"Relation({list(self.pairs())}: {self.dom.size} -> {self.cod.size})"
+
+
+_set_rel_dom, _set_rel_cod, _set_rel_graph = (
+    Relation.dom.__set__, Relation.cod.__set__, Relation.graph.__set__
+)
 
 
 def rel_identity(x: FinSet | int) -> Relation:
@@ -243,7 +306,7 @@ def rel_identity(x: FinSet | int) -> Relation:
 
 def rel_compose(late: Relation, early: Relation) -> Relation:
     """Relational composite: ``x`` relates to ``z`` when some middle ``y`` links them."""
-    if early.cod != late.dom:
+    if early.cod.size != late.dom.size:
         raise ValueError(
             f"cannot compose: codomain {early.cod.size} does not match domain {late.dom.size}"
         )

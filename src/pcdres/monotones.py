@@ -16,7 +16,8 @@ wiring of ``f`` is a conversion from ``f``.  They are sufficient: from
 ``mu(g) <= mu(g + j) <= mu(f + 1_Z) = mu(f)``.
 
 :func:`check_measure` tests the four conditions over every process up to a
-size limit and reports the first counterexample for each failing one.  It
+size limit and reports the first counterexample for each failing one; each
+test is phrased so that a value that is not a number fails it.  It
 evaluates ``mu`` once per enumerated process and once per disjoint union of
 two of them.  :func:`induce_monotone` packages a passing measure as a
 function of normal forms; :func:`check_complete_family` tests whether a
@@ -126,7 +127,7 @@ def _check_additivity(
     for (f, vf), (g, vg) in itertools.product(value_of.items(), repeat=2):
         lhs = mu(disjoint_union(f, g))
         rhs = vf + vg
-        if abs(lhs - rhs) > tolerance:
+        if not abs(lhs - rhs) <= tolerance:
             return ConditionResult(
                 False, (f, g), f"mu(f+g) = {lhs} but mu(f) + mu(g) = {rhs}"
             )
@@ -138,7 +139,7 @@ def _check_unit(
 ) -> ConditionResult:
     for z in range(size_limit + 1):
         value = value_of[identity(z)]
-        if abs(value) > tolerance:
+        if not abs(value) <= tolerance:
             return ConditionResult(
                 False, (identity(z),), f"mu = {value} on the identity of size {z}"
             )
@@ -155,7 +156,7 @@ def _check_monotonicity(
         for other in range(size_limit + 1):
             for xi in variant.free_morphisms(f.cod, other):
                 value = value_of[compose(xi, f)]
-                if base < value - tolerance:
+                if not value - tolerance <= base:
                     return ConditionResult(
                         False,
                         (f, xi),
@@ -163,7 +164,7 @@ def _check_monotonicity(
                     )
             for xi in variant.free_morphisms(other, f.dom):
                 value = value_of[compose(f, xi)]
-                if base < value - tolerance:
+                if not value - tolerance <= base:
                     return ConditionResult(
                         False,
                         (f, xi),
@@ -176,8 +177,9 @@ def _check_nonnegativity(
     value_of: dict[FinFun, float], tolerance: float
 ) -> ConditionResult:
     for f, value in value_of.items():
-        if value < -tolerance:
-            return ConditionResult(False, (f,), f"mu = {value} is negative")
+        if not value >= -tolerance:
+            problem = "is negative" if value < 0 else "is not a number"
+            return ConditionResult(False, (f,), f"mu = {value} {problem}")
     return ConditionResult(True)
 
 
@@ -301,7 +303,7 @@ def check_complete_family(
         converts = _dominates(ff, fg)
         if converts and not dominates:
             drop = next(
-                name for name, a, b in zip(names, vf, vg) if a < b - tolerance
+                name for name, a, b in zip(names, vf, vg) if not a >= b - tolerance
             )
             return FamilyReport(
                 variant,

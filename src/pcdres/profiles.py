@@ -78,9 +78,9 @@ class Profile:
     def __add__(self, other: Profile) -> Profile:
         if not isinstance(other, Profile):
             return NotImplemented
-        merged = Counter(self._counts)
-        merged.update(other._counts)
-        return Profile._trusted(dict(sorted(merged.items())))
+        a, b = self._counts, other._counts
+        merged = {i: a.get(i, 0) + b.get(i, 0) for i in sorted(a.keys() | b.keys())}
+        return Profile._trusted(merged)
 
     def __ge__(self, other: Profile) -> bool:
         """Pointwise dominance (``<=`` is its reflection).

@@ -1,7 +1,7 @@
 """Acceptance gate: every headline guarantee, run end to end at full size.
 
-Each test prints one ``[criterion N] name: PASS/FAIL (x.x s)`` line with the
-seconds the criterion took.  The file also runs standalone:
+Each test prints one ``[criterion N] name: PASS/FAIL (x.x s, n cases)`` line
+with the seconds the criterion took and the number of cases it checked.  The file also runs standalone:
 
     python3 tests/test_acceptance.py
 """
@@ -52,10 +52,13 @@ TRUE_PAIRS = {BIJ: 1727, INJ: 2556}
 NEG_PHI_0 = CandidateMeasure("neg_phi_0", lambda f: -BUILTIN_MEASURES["phi_0"](f))
 
 
-def _verdict(number: int, name: str, failures: list, started: float) -> None:
+def _verdict(number: int, name: str, failures: list, started: float, cases: int) -> None:
     ok = not failures
     seconds = time.perf_counter() - started
-    print(f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'} ({seconds:.1f} s)")
+    print(
+        f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'} "
+        f"({seconds:.1f} s, {cases} cases)"
+    )
     assert ok, f"criterion {number} ({name}): first failure: {failures[0]!r}"
 
 
@@ -86,7 +89,7 @@ def _oracle_agreement(number: int, variant: TheoryVariant) -> None:
                     failures.append((f, g, "oracle witness fails replay"))
     if found != TRUE_PAIRS[variant]:
         failures.append(f"expected {TRUE_PAIRS[variant]} convertible pairs, found {found}")
-    _verdict(number, f"oracle agreement ({variant.value})", failures, started)
+    _verdict(number, f"oracle agreement ({variant.value})", failures, started, len(funs) ** 2)
 
 
 def test_criterion_1_oracle_agreement_set_bij():
@@ -101,12 +104,14 @@ def test_criterion_3_witness_soundness():
     started = time.perf_counter()
     funs = list(enumerate_all_functions(3))
     failures = []
+    cases = 0
     for variant in (BIJ, INJ):
         produced = 0
         for f in funs:
             for g in funs:
                 if not decide(variant, f, g):
                     continue
+                cases += 1
                 w = witness(variant, f, g)
                 if not (variant.is_free(w.xi1) and variant.is_free(w.xi2)):
                     failures.append((variant, f, g, "wiring not free"))
@@ -116,7 +121,7 @@ def test_criterion_3_witness_soundness():
                     produced += 1
         if produced != TRUE_PAIRS[variant]:
             failures.append((variant, "count", produced))
-    _verdict(3, "witness soundness", failures, started)
+    _verdict(3, "witness soundness", failures, started, cases)
 
 
 def test_criterion_4_ordered_monoid_isomorphism():
@@ -133,18 +138,20 @@ def test_criterion_4_ordered_monoid_isomorphism():
                     failures.append((variant, f, g, "not a monoid map"))
                 if decide(variant, f, g) != (forms[f] >= forms[g]):
                     failures.append((variant, f, g, "order mismatch"))
-    _verdict(4, "ordered-monoid isomorphism", failures, started)
+    _verdict(4, "ordered-monoid isomorphism", failures, started, 2 * len(funs) ** 2)
 
 
 def test_criterion_5_non_negativity():
     started = time.perf_counter()
     failures = []
+    cases = 0
     for variant in (BIJ, INJ):
         for f in enumerate_all_functions(4):
             for z in range(5):
+                cases += 1
                 if not decide(variant, f, identity(z)):
                     failures.append((variant, f, z))
-    _verdict(5, "non-negativity", failures, started)
+    _verdict(5, "non-negativity", failures, started, cases)
 
 
 def test_criterion_6_relational_triviality():
@@ -152,10 +159,12 @@ def test_criterion_6_relational_triviality():
     rels = list(_relations(2))
     failures = []
     checked = 0
+    cases = 0
     for f in rels:
         for g in rels:
             if g.cod.size == 0 and f.cod.size > 0:
                 continue
+            cases += 1
             w = relx_convert(f, g)
             if not verify_witness(REL_TIMES_THEORY, f, g, w):
                 failures.append((f, g))
@@ -166,7 +175,7 @@ def test_criterion_6_relational_triviality():
     table = preorder_table(REL_TIMES_THEORY, 2)
     if len(table) != len(rels) ** 2:
         failures.append(f"table has {len(table)} of {len(rels) ** 2} pairs")
-    _verdict(6, "relational triviality", failures, started)
+    _verdict(6, "relational triviality", failures, started, cases)
 
 
 def _class_route_passes(variant, mu, funs) -> bool:
@@ -195,14 +204,17 @@ def test_criterion_7_measure_screen_equivalence():
     started = time.perf_counter()
     funs = list(enumerate_all_functions(3))
     failures = []
+    cases = 0
     for variant in (BIJ, INJ):
         for name, mu in sorted(BUILTIN_MEASURES.items()):
+            cases += 1
             screened = check_measure(variant, mu, 3, TOL).passed
             induced = _class_route_passes(variant, mu, funs)
             if screened != induced:
                 failures.append((variant, name, screened, induced))
     for name in NEGATIVE_CONTROLS:
         for variant in (BIJ, INJ):
+            cases += 1
             report = check_measure(variant, BUILTIN_MEASURES[name], 3, TOL)
             if report.passed:
                 failures.append((variant, name, "control passed"))
@@ -213,19 +225,22 @@ def test_criterion_7_measure_screen_equivalence():
     # additive, zero on identities and never raised by free wiring, but
     # negative: only the non-negativity condition can reject it
     for variant in (BIJ, INJ):
+        cases += 1
         report = check_measure(variant, NEG_PHI_0, 3, TOL)
         if report.passed or not report.nonnegativity.counterexample:
             failures.append((variant, NEG_PHI_0.name, "screen missed a negative measure"))
         if _class_route_passes(variant, NEG_PHI_0, funs):
             failures.append((variant, NEG_PHI_0.name, "class route missed it"))
-    _verdict(7, "measure screen equivalence", failures, started)
+    _verdict(7, "measure screen equivalence", failures, started, cases)
 
 
 def test_criterion_8_complete_families():
     started = time.perf_counter()
     failures = []
+    cases = 0
     for variant in (BIJ, INJ):
         family = default_family(variant)
+        cases += 1 + len(family)
         if not check_complete_family(variant, family, 3, TOL).passed:
             failures.append((variant, "default family rejected"))
         for member in family:
@@ -234,13 +249,15 @@ def test_criterion_8_complete_families():
                 failures.append((variant, member.name, "singleton complete"))
             elif report.counterexample is None:
                 failures.append((variant, member.name, "no counterexample emitted"))
-    _verdict(8, "complete families", failures, started)
+    _verdict(8, "complete families", failures, started, cases)
 
 
 def test_criterion_9_profile_algebra():
     started = time.perf_counter()
     failures = []
+    cases = 0
     for f in enumerate_all_functions(5):
+        cases += 1
         phi, gamma = phi_profile(f), gamma_profile(f)
         if sum(i * n for i, n in phi.items()) != f.dom.size:
             failures.append((f, "mass"))
@@ -254,16 +271,18 @@ def test_criterion_9_profile_algebra():
     for f in enumerate_all_functions(3):
         for pre in enumerate_bijections(f.dom, f.dom):
             for post in enumerate_bijections(f.cod, f.cod):
+                cases += 1
                 conjugated = compose(post, compose(f, pre))
                 if phi_profile(conjugated) != phi_profile(f):
                     failures.append((f, pre, post, "phi invariance"))
                 if gamma_profile(conjugated) != gamma_profile(f):
                     failures.append((f, pre, post, "gamma invariance"))
     for counts in itertools.product(range(4), repeat=5):
+        cases += 1
         p = Profile(dict(enumerate(counts)))
         if phi_profile(realize_profile(p)) != p:
             failures.append((p, "realize round trip"))
-    _verdict(9, "profile algebra", failures, started)
+    _verdict(9, "profile algebra", failures, started, cases)
 
 
 if __name__ == "__main__":

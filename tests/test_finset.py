@@ -1,6 +1,9 @@
 """Category and enumeration layer: functions, relations, monoidal wiring."""
 
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +13,7 @@ from pcdres import (
     FinSet,
     FormatError,
     Relation,
+    TheoryVariant,
     braiding,
     compose,
     disjoint_union,
@@ -30,7 +34,9 @@ from pcdres import (
     rel_product,
     relation_from_dict,
     relation_to_dict,
+    witness,
 )
+from pcdres.oracle import relx_convert
 
 
 def all_relations(max_size):
@@ -51,6 +57,78 @@ def test_finset_rejects_bad_sizes():
     with pytest.raises(ValueError):
         FinSet(True)
     assert list(FinSet(3)) == [0, 1, 2]
+
+
+class _Size(int):
+    """An ``int`` subclass other than ``bool``, which is a valid size."""
+
+
+@pytest.mark.parametrize("size", [True, False, -1, 1.0, "3", None])
+def test_finset_size_errors(size):
+    FinSet(0), FinSet(1)  # True and False must not find these shared instances
+    with pytest.raises(ValueError, match=r"FinSet size must be a non-negative integer, got "):
+        FinSet(size)
+
+
+def test_finset_is_shared_per_size():
+    assert FinSet(3) is FinSet(3)
+    assert FinSet(0) is FinSet(0)
+    assert FinSet(3) == FinSet(3) != FinSet(4)
+    assert repr(FinSet(3)) == "FinSet(size=3)"
+
+
+@pytest.mark.parametrize("size", [10**9, _Size(3)], ids=["large", "int-subclass"])
+def test_unshared_finsets_equal_shared_ones(size):
+    made = FinSet(size)
+    assert made.size == size and list(FinSet(_Size(2))) == [0, 1]
+    assert made == FinSet(int(size)) and hash(made) == hash(FinSet(int(size)))
+    assert len({made, FinSet(int(size))}) == 1
+
+
+def test_value_types_are_immutable_and_slotted():
+    f = FinFun.from_map([0], 1)
+    r = Relation.from_pairs(1, 1, [(0, 0)])
+    for obj in (FinSet(2), FinSet(10**9), f, r):
+        assert not hasattr(obj, "__dict__")
+        for name in ("size", "dom", "cod", "map", "graph", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name, None))
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+
+
+def test_morphism_reprs():
+    assert repr(FinFun.from_map([1, 0], 2)) == "FinFun([1, 0]: 2 -> 2)"
+    assert repr(Relation.from_pairs(1, 2, [(0, 1)])) == "Relation([(0, 1)]: 1 -> 2)"
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [
+        copy.copy,
+        copy.deepcopy,
+        lambda v: pickle.loads(pickle.dumps(v)),
+        lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+    ],
+    ids=["copy", "deepcopy", "pickle", "pickle-0"],
+)
+def test_value_types_survive_copy_and_pickle(clone):
+    f, g = FinFun.from_map([0, 0, 1], 3), FinFun.from_map([0], 2)
+    r = Relation.from_pairs(2, 1, [(1, 0)])
+    values = [
+        FinSet(3),
+        FinSet(10**9),
+        FinSet(_Size(3)),
+        f,
+        r,
+        witness(TheoryVariant.SET_INJ, f, g),
+        relx_convert(r, r),
+    ]
+    for value in values:
+        again = clone(value)
+        assert type(again) is type(value)
+        assert again == value and hash(again) == hash(value)
+    assert clone(FinSet(3)) is FinSet(3)
 
 
 def test_finfun_validation():

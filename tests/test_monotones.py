@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -174,6 +175,23 @@ def test_family_members_are_screened_first():
         )
     with pytest.raises(MeasureRejected, match="family member neg_phi_0 fails screening"):
         check_complete_family(BIJ, [neg_phi_0], 2)
+
+
+nan_measure = CandidateMeasure("nan", lambda f: math.nan)
+
+
+def test_nan_measure_fails_every_condition():
+    report = check_measure(BIJ, nan_measure, 2)
+    conditions = (report.additivity, report.unit, report.monotonicity, report.nonnegativity)
+    assert not report.passed
+    assert all(not c.passed and c.counterexample for c in conditions)
+    assert report.nonnegativity.note == "mu = nan is not a number"
+
+
+def test_family_with_a_nan_member_is_rejected():
+    family = default_family(BIJ) + (nan_measure,)
+    with pytest.raises(MeasureRejected, match="family member nan fails screening"):
+        check_complete_family(BIJ, family, 2)
 
 
 def test_family_report_render_shows_counterexample():

@@ -52,6 +52,17 @@ def test_profile_is_immutable_and_hashable():
     assert len({Profile({2: 1}), Profile({2: 1}), Profile()}) == 2
 
 
+@given(st.dictionaries(st.integers(0, 12), st.integers(1, 5), max_size=8),
+       st.dictionaries(st.integers(0, 12), st.integers(1, 5), max_size=8))
+def test_profile_addition_matches_counter_reference(a, b):
+    merged = Counter(a)
+    merged.update(b)
+    total = Profile(a) + Profile(b)
+    assert dict(total.items()) == dict(merged)
+    assert list(total.support) == sorted(total.support)
+    assert all(n > 0 for _, n in total.items())
+
+
 def test_profile_addition_and_order():
     assert Profile({1: 1}) + Profile({1: 2, 0: 1}) == Profile({0: 1, 1: 3})
     assert Profile() + Profile() == Profile()
