@@ -7,9 +7,9 @@ literals when ``--inline`` is given.
 
 Exit codes: 0 success or a positive decision, 1 a negative decision,
 2 no witness, 64 malformed input (the diagnostic names the offending
-field), 65 violated precondition or a ``witness`` over its budget of
-codomain points, 70 internal error (an unexpected exception, reported as
-one ``error: internal:`` line on stderr).
+field), 65 violated precondition or a ``witness``, ``oracle`` or
+``preorder-table`` request over its budget of points, 70 internal error (an
+unexpected exception, reported as one ``error: internal:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ EXIT_INTERNAL = 70
 
 # The most codomain points, f's and g's together, that ``witness`` will
 # list; a witness's size and its construction's memory grow with them.
+# ``oracle`` and ``preorder-table`` count their three search bounds too.
 WITNESS_BUDGET = 10**7
 
 
@@ -71,6 +72,14 @@ def _nonneg(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
+
+
+def _check_budget(count: int, subject: str, unit: str) -> None:
+    """Refuse, with exit 65, a request that would list more than ``WITNESS_BUDGET`` points."""
+    if count > WITNESS_BUDGET:
+        raise ValueError(
+            f"{subject} would list {count} {unit}, over the budget of {WITNESS_BUDGET}"
+        )
 
 
 def _compact(data: dict) -> str:
@@ -121,14 +130,11 @@ def _cmd_witness(args) -> int:
     f, g = _load_pair(args, theory)
     points = f.cod.size + g.cod.size
     try:
-        if points > WITNESS_BUDGET:
-            # a negative decision costs memory in dom only, so it is still given
-            if isinstance(theory, TheoryVariant) and not decide(theory, f, g):
+        # a negative decision costs memory in dom only, so it is given at any size
+        if points > WITNESS_BUDGET and isinstance(theory, TheoryVariant):
+            if not decide(theory, f, g):
                 raise NotConvertibleError
-            raise ValueError(
-                f"a witness would list {points} codomain points, "
-                f"over the budget of {WITNESS_BUDGET}"
-            )
+        _check_budget(points, "a witness", "codomain points")
         w = theory.witness(f, g)
     except NotConvertibleError:
         print("no witness: f does not convert to g", file=sys.stderr)
@@ -157,18 +163,26 @@ def _cmd_equiv(args) -> int:
     return EXIT_FALSE
 
 
-def _bounds_from_args(args, fallback: SearchBounds) -> SearchBounds:
-    return SearchBounds(
+def _bounds_from_args(args, fallback: SearchBounds, codomains: int) -> SearchBounds:
+    """The search bounds, refused when they and the ``codomains`` points exceed the budget.
+
+    The search builds one junk object per ``C`` size and lists the points of
+    ``cod(f) + Z`` and ``cod(g) + D``.
+    """
+    bounds = SearchBounds(
         fallback.max_z if args.max_z is None else args.max_z,
         fallback.max_c if args.max_c is None else args.max_c,
         fallback.max_d if args.max_d is None else args.max_d,
     )
+    count = codomains + bounds.max_z + bounds.max_c + bounds.max_d
+    _check_budget(count, "the search", "codomain points and bound sizes")
+    return bounds
 
 
 def _cmd_oracle(args) -> int:
     theory = THEORIES[args.variant]
     f, g = _load_pair(args, theory)
-    bounds = _bounds_from_args(args, default_bounds(f, g))
+    bounds = _bounds_from_args(args, default_bounds(f, g), f.cod.size + g.cod.size)
     w = oracle_convertible(theory, f, g, bounds)
     if w is None:
         print("no witness within bounds")
@@ -181,7 +195,7 @@ def _cmd_preorder_table(args) -> int:
     theory = THEORIES[args.variant]
     limit = args.size_limit
     fallback = SearchBounds(max(3, limit), 4 * limit, 4 * limit)
-    table = preorder_table(theory, limit, _bounds_from_args(args, fallback))
+    table = preorder_table(theory, limit, _bounds_from_args(args, fallback, 2 * limit))
     for line in preorder_lines(table):
         print(line)
     return EXIT_TRUE

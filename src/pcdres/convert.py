@@ -269,8 +269,12 @@ def _canonical_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> tuple[Fi
     free map, so under set-bij they are bijective.  The ``Z`` points join
     class -1.  A map is least in its orbit exactly when the i-th use of each
     class is that class's i-th smallest member and the images of the last
-    ``c`` inputs increase; the depth-first scan below tries only the next
-    unused member of each class, smallest first.
+    ``c`` inputs increase, so a prefix extends only by the next unused member
+    of each class.  The scan pops one ``(entries, uses of each class)`` prefix
+    off a stack and pushes its extensions largest first.  The least prefix
+    on the stack is then always on top: each extension of the popped prefix
+    is less than everything beneath it, as the popped prefix was.  So the
+    complete maps come out in lexicographic order, with no recursion.
     """
     n = len(classes) + z
     size = a + c
@@ -278,25 +282,20 @@ def _canonical_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> tuple[Fi
     for x, k in enumerate(classes + (-1,) * z):
         pools.setdefault(k, []).append(x)
     members = list(pools.values())
-    used = [0] * len(members)
-    entries: list[int] = []
-    found: list[FinFun] = []
     dom, cod = FinSet(size), FinSet(n)
-
-    def extend() -> None:
+    found: list[FinFun] = []
+    stack = [((), (0,) * len(members))]
+    while stack:
+        entries, used = stack.pop()
         if len(entries) == size:
-            found.append(FinFun._trusted(dom, cod, tuple(entries)))
-            return
+            found.append(FinFun._trusted(dom, cod, entries))
+            continue
         low = entries[-1] if len(entries) > a else -1
-        for x, k in sorted((m[used[k]], k) for k, m in enumerate(members) if used[k] < len(m)):
-            if x > low:
-                used[k] += 1
-                entries.append(x)
-                extend()
-                entries.pop()
-                used[k] -= 1
-
-    extend()
+        nexts = [
+            (m[u], k) for k, (m, u) in enumerate(zip(members, used)) if u < len(m) and m[u] > low
+        ]
+        for x, k in sorted(nexts, reverse=True):
+            stack.append((entries + (x,), used[:k] + (used[k] + 1,) + used[k + 1 :]))
     return tuple(found)
 
 

@@ -4,6 +4,7 @@ Each test drives ``main`` with an argv list and inspects exit code, stdout,
 and stderr.  One subprocess smoke test covers the module entry point.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,9 +12,9 @@ import tracemalloc
 
 import pytest
 
-from pcdres import cli, convert, relation_from_dict
+from pcdres import FinFun, FinSet, Relation, cli, convert, relation_from_dict
 from pcdres.cli import main
-from pcdres.convert import normal_form
+from pcdres.convert import check_witness, normal_form, witness_to_dict
 
 MERGE = '{"dom":2,"cod":1,"map":[0,0]}'
 POINT = '{"dom":1,"cod":1,"map":[0]}'
@@ -215,7 +216,11 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--variant", "set-bij", "--max-z", "-1", "--inline", MERGE, POINT])
     assert exc.value.code == 64
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--variant", "set-bij", "--max-z", "abc", "--inline", MERGE, POINT])
+    assert exc.value.code == 64
+    _, err = capsys.readouterr()
+    assert err.endswith("pcdres oracle: error: argument --max-z: 'abc' is not an integer\n")
 
 
 def test_malformed_input_exit_64(capsys):
@@ -422,6 +427,128 @@ def test_witness_budget_counts_both_codomains(capsys, monkeypatch):
     # a negative decision is still answered above the budget
     code, out, err = run(capsys, "witness", "--variant", "set-bij", "--inline", POINT, MERGE)
     assert (code, out, err) == (2, "", "no witness: f does not convert to g\n")
+
+
+EMPTY = '{"dom":0,"cod":0,"map":[]}'
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["oracle", "--variant", "set-bij", "--inline", HUGE_COD, EMPTY], 3000000005),
+        (
+            ["oracle", "--variant", "set-bij", "--max-c", "1000000000", "--inline", POINT, POINT],
+            1000000009,
+        ),
+        (
+            [
+                "preorder-table", "--variant", "set-bij", "--size-limit", "0",
+                "--max-c", "1000000000",
+            ],
+            1000000003,
+        ),
+    ],
+    ids=["oracle-huge-cod", "oracle-huge-max-c", "preorder-table-huge-max-c"],
+)
+def test_search_over_budget_exits_65(capsys, argv, count):
+    # refused before the search builds one junk object per C size or lists cod(f) + Z
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (65, "")
+    assert err == (
+        f"error: the search would list {count} codomain points and bound sizes, "
+        "over the budget of 10000000\n"
+    )
+    assert peak < 2 * 2**20
+
+
+def test_search_budget_counts_codomains_and_bounds(capsys, monkeypatch):
+    # MERGE -> POINT: two codomain points, default bounds (3, 5, 5)
+    oracle = ["oracle", "--variant", "set-bij", "--inline", MERGE, POINT]
+    monkeypatch.setattr(cli, "WITNESS_BUDGET", 15)
+    assert run(capsys, *oracle)[0] == 0
+    monkeypatch.setattr(cli, "WITNESS_BUDGET", 14)
+    code, _, err = run(capsys, *oracle)
+    assert code == 65 and "would list 15 codomain points" in err
+    # preorder-table counts 2 * size limit, plus its default bounds (3, 4, 4) at size 1
+    table = ["preorder-table", "--variant", "set-bij", "--size-limit", "1"]
+    monkeypatch.setattr(cli, "WITNESS_BUDGET", 13)
+    assert run(capsys, *table)[0] == 0
+    monkeypatch.setattr(cli, "WITNESS_BUDGET", 12)
+    code, _, err = run(capsys, *table)
+    assert code == 65 and "would list 13 codomain points" in err
+
+
+@pytest.mark.parametrize("variant", ["set-bij", "set-inj"])
+@pytest.mark.parametrize("fmap", [list(range(1500)), [0] * 1500], ids=["identity", "constant"])
+def test_oracle_scans_wirings_without_recursion_limit(capsys, variant, fmap):
+    # the wiring scan goes as deep as dom(f); it must not meet the recursion limit
+    f = json.dumps({"dom": len(fmap), "cod": max(fmap) + 1, "map": fmap})
+    code, out, err = run(capsys, "oracle", "--variant", variant, "--inline", f, f)
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "check-witness", "--variant", variant, "--inline", f, f, out)
+    assert (code, out) == (0, "valid\n")
+
+
+SHAPE_PAIRS = {
+    "set-bij": (MERGE, POINT),
+    "set-inj": (MERGE, POINT),
+    "rel-times": ('{"dom":2,"cod":1,"pairs":[[0,0],[1,0]]}', '{"dom":1,"cod":1,"pairs":[[0,0]]}'),
+}
+
+
+def _widen(m, side):
+    """``m`` with one more point in its ``side``, "dom" or "cod".
+
+    A new input goes to the least output ``m`` misses, else to 0, so that
+    a free ``m`` stays free where it can.
+    """
+    dom = FinSet(m.dom.size + (side == "dom"))
+    cod = FinSet(m.cod.size + (side == "cod"))
+    hit = set(m.map) if isinstance(m, FinFun) else {y for _, y in m.graph}
+    y = min(set(range(m.cod.size)) - hit, default=0)
+    if isinstance(m, Relation):
+        return Relation(dom, cod, m.graph | ({(m.dom.size, y)} if side == "dom" else set()))
+    return FinFun(dom, cod, m.map + ((y,) if side == "dom" else ()))
+
+
+@pytest.mark.parametrize("part, side", [("xi1", "dom"), ("xi2", "dom"), ("xi2", "cod")])
+@pytest.mark.parametrize("variant", list(SHAPE_PAIRS))
+def test_check_witness_rejects_one_widened_part(capsys, variant, part, side):
+    theory = cli.THEORIES[variant]
+    f_text, g_text = SHAPE_PAIRS[variant]
+    f, g = (theory.morphism_from_dict(json.loads(t)) for t in (f_text, g_text))
+    w = theory.witness(f, g)
+    bad = dataclasses.replace(w, **{part: _widen(getattr(w, part), side)})
+    assert check_witness(theory, f, g, w)
+    assert check_witness(theory, f, g, bad) is False
+    w_text = json.dumps(witness_to_dict(bad))
+    code, out, err = run(
+        capsys, "check-witness", "--variant", variant, "--inline", f_text, g_text, w_text
+    )
+    assert (code, out, err) == (1, "invalid\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["check-witness", "--variant", "set-bij", "--inline", MERGE, POINT, "[]"],
+            "expected a JSON object with fields 'Z', 'xi1', 'xi2', 'j'",
+        ),
+        (
+            ["witness", "--variant", "rel-times", "--inline", "[]", "[]"],
+            "expected a JSON object with fields 'dom', 'cod', 'pairs'",
+        ),
+    ],
+    ids=["witness", "rel-morphism"],
+)
+def test_non_object_input_exit_64(capsys, argv, message):
+    assert run(capsys, *argv) == (64, "", f"error: {message}\n")
 
 
 MEASURE_CHOICES = (

@@ -34,7 +34,7 @@ from pcdres import (
 )
 from pcdres import check_witness as verify_witness
 from pcdres.convert import _canonical_xi1, _fiber_classes, _free_funs
-from pcdres.oracle import REL_TIMES_THEORY, TheoryInstance
+from pcdres.oracle import REL_TIMES_THEORY, BoundsTooTightError, TheoryInstance
 
 MERGE = FinFun.from_map([0, 0], 1)
 POINT = FinFun.from_map([0], 1)
@@ -274,6 +274,21 @@ def test_preorder_table_raises_on_tight_bounds():
     # bounds that admit two legs of a composite conversion but not the composite
     with pytest.raises(RuntimeError, match="not transitive"):
         preorder_table(TheoryVariant.SET_BIJ, 2, SearchBounds(1, 2, 1))
+
+
+class NoDiscard(Wrapped):
+    """Same theory, but the discarding side never solves."""
+
+    def solve_discard(self, m, g, c_size, max_d):
+        return None
+
+
+def test_preorder_table_raises_when_not_reflexive():
+    with pytest.raises(BoundsTooTightError) as exc:
+        preorder_table(NoDiscard(TheoryVariant.SET_BIJ), 0)
+    assert str(exc.value) == (
+        "preorder table is not reflexive at FinFun([]: 0 -> 0); widen bounds"
+    )
 
 
 def test_preorder_lines_format():

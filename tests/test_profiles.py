@@ -52,6 +52,15 @@ def test_profile_is_immutable_and_hashable():
     assert len({Profile({2: 1}), Profile({2: 1}), Profile()}) == 2
 
 
+def test_profile_iterates_its_support_and_refuses_other_operands():
+    assert list(Profile({2: 1, 0: 3})) == [0, 2]
+    assert (Profile() == 1) is False
+    with pytest.raises(TypeError):
+        Profile() + 1
+    with pytest.raises(TypeError):
+        Profile() >= 1
+
+
 @given(st.dictionaries(st.integers(0, 12), st.integers(1, 5), max_size=8),
        st.dictionaries(st.integers(0, 12), st.integers(1, 5), max_size=8))
 def test_profile_addition_matches_counter_reference(a, b):
