@@ -259,58 +259,26 @@ def _build_parser() -> _Parser:
         "--measure", action="append", choices=sorted(BUILTIN_MEASURES), default=None
     )
 
-    sub = subs.add_parser("profile", parents=[inline], help="print fiber profiles")
-    sub.add_argument("morphism")
-    sub.set_defaults(handler=_cmd_profile)
-
-    sub = subs.add_parser(
-        "decide", parents=[set_variant, inline, pair], help="decide convertibility"
+    # name, parent parsers, help, handler
+    verbs = (
+        ("profile", [inline], "print fiber profiles", _cmd_profile),
+        ("decide", [set_variant, inline, pair], "decide convertibility", _cmd_decide),
+        ("witness", [any_variant, inline, pair], "synthesize a conversion witness", _cmd_witness),
+        ("check-witness", [any_variant, inline, pair], "verify a witness", _cmd_check_witness),
+        ("equiv", [set_variant, inline, pair], "test equivalence, print normal form", _cmd_equiv),
+        ("oracle", [any_variant, inline, bounds, pair], "search for a witness by brute force",
+         _cmd_oracle),
+        ("preorder-table", [any_variant, bounds, limit],
+         "print all oracle-confirmed conversions up to a size limit", _cmd_preorder_table),
+        ("monotone-check", [set_variant, limit, measures], "screen built-in measures",
+         _cmd_monotone_check),
+        ("family-check", [set_variant, limit, measures],
+         "check a family of measures for completeness", _cmd_family_check),
     )
-    sub.set_defaults(handler=_cmd_decide)
-
-    sub = subs.add_parser(
-        "witness", parents=[any_variant, inline, pair], help="synthesize a conversion witness"
-    )
-    sub.set_defaults(handler=_cmd_witness)
-
-    sub = subs.add_parser(
-        "check-witness", parents=[any_variant, inline, pair], help="verify a witness"
-    )
-    sub.add_argument("w")
-    sub.set_defaults(handler=_cmd_check_witness)
-
-    sub = subs.add_parser(
-        "equiv", parents=[set_variant, inline, pair], help="test equivalence, print normal form"
-    )
-    sub.set_defaults(handler=_cmd_equiv)
-
-    sub = subs.add_parser(
-        "oracle",
-        parents=[any_variant, inline, bounds, pair],
-        help="search for a witness by brute force",
-    )
-    sub.set_defaults(handler=_cmd_oracle)
-
-    sub = subs.add_parser(
-        "preorder-table",
-        parents=[any_variant, bounds, limit],
-        help="print all oracle-confirmed conversions up to a size limit",
-    )
-    sub.set_defaults(handler=_cmd_preorder_table)
-
-    sub = subs.add_parser(
-        "monotone-check",
-        parents=[set_variant, limit, measures],
-        help="screen built-in measures",
-    )
-    sub.set_defaults(handler=_cmd_monotone_check)
-
-    sub = subs.add_parser(
-        "family-check",
-        parents=[set_variant, limit, measures],
-        help="check a family of measures for completeness",
-    )
-    sub.set_defaults(handler=_cmd_family_check)
+    for name, parents, text, handler in verbs:
+        subs.add_parser(name, parents=parents, help=text).set_defaults(handler=handler)
+    subs.choices["profile"].add_argument("morphism")
+    subs.choices["check-witness"].add_argument("w")
 
     return parser
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .convert import TheoryVariant, _dense_form, _dominates, normal_form, representative
@@ -146,6 +146,17 @@ def _check_unit(
     return ConditionResult(True)
 
 
+def _free_wirings(
+    variant: TheoryVariant, f: FinFun, size_limit: int
+) -> Iterator[tuple[FinFun, FinFun, str]]:
+    """``(xi, wired, side)`` for each free post- and then pre-composite of ``f``, per size."""
+    for other in range(size_limit + 1):
+        for xi in variant.free_morphisms(f.cod, other):
+            yield xi, compose(xi, f), "post"
+        for xi in variant.free_morphisms(other, f.dom):
+            yield xi, compose(f, xi), "pre"
+
+
 def _check_monotonicity(
     variant: TheoryVariant,
     value_of: dict[FinFun, float],
@@ -153,23 +164,12 @@ def _check_monotonicity(
     tolerance: float,
 ) -> ConditionResult:
     for f, base in value_of.items():
-        for other in range(size_limit + 1):
-            for xi in variant.free_morphisms(f.cod, other):
-                value = value_of[compose(xi, f)]
-                if not value - tolerance <= base:
-                    return ConditionResult(
-                        False,
-                        (f, xi),
-                        f"post-composition raises mu from {base} to {value}",
-                    )
-            for xi in variant.free_morphisms(other, f.dom):
-                value = value_of[compose(f, xi)]
-                if not value - tolerance <= base:
-                    return ConditionResult(
-                        False,
-                        (f, xi),
-                        f"pre-composition raises mu from {base} to {value}",
-                    )
+        for xi, wired, side in _free_wirings(variant, f, size_limit):
+            value = value_of[wired]
+            if not value - tolerance <= base:
+                return ConditionResult(
+                    False, (f, xi), f"{side}-composition raises mu from {base} to {value}"
+                )
     return ConditionResult(True)
 
 
@@ -300,28 +300,14 @@ def check_complete_family(
     rows = list(zip(funs, forms, values))
     for (f, ff, vf), (g, fg, vg) in itertools.product(rows, repeat=2):
         dominates = all(a >= b - tolerance for a, b in zip(vf, vg))
-        converts = _dominates(ff, fg)
-        if converts and not dominates:
-            drop = next(
-                name for name, a, b in zip(names, vf, vg) if not a >= b - tolerance
-            )
-            return FamilyReport(
-                variant,
-                size_limit,
-                names,
-                False,
-                (f, g),
-                f"{drop} decreases along a conversion",
-            )
-        if dominates and not converts:
-            return FamilyReport(
-                variant,
-                size_limit,
-                names,
-                False,
-                (f, g),
-                "all measures dominate but f does not convert to g",
-            )
+        if _dominates(ff, fg) == dominates:
+            continue
+        if dominates:
+            note = "all measures dominate but f does not convert to g"
+        else:
+            drop = next(name for name, a, b in zip(names, vf, vg) if not a >= b - tolerance)
+            note = f"{drop} decreases along a conversion"
+        return FamilyReport(variant, size_limit, names, False, (f, g), note)
     return FamilyReport(variant, size_limit, names, True)
 
 

@@ -4,11 +4,14 @@ Each test drives ``main`` with an argv list and inspects exit code, stdout,
 and stderr.  One subprocess smoke test covers the module entry point.
 """
 
+import argparse
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -689,6 +692,23 @@ def test_verb_help_is_unchanged(capsys, monkeypatch, verb):
     assert exc.value.code == 0
     expected = HELP[verb].replace("<measures>", MEASURE_CHOICES)
     assert out.replace("optional arguments:", "options:") == expected  # Python 3.10 header
+
+
+def _named_verbs(text: str, start: str, end: str) -> list[str]:
+    """The backquoted names between ``start`` and ``end`` in ``text``."""
+    span = text[text.index(start) : text.index(end, text.index(start))]
+    return re.findall(r"`+([a-z-]+)`+", span)
+
+
+def test_verb_list_is_written_down_once():
+    (subcommands,) = (
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    verbs = list(subcommands.choices)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert _named_verbs(cli.__doc__, "Verbs mirror the library:", "Morphisms") == verbs
+    assert _named_verbs(readme, "Verbs:", "Variants:") == verbs
+    assert list(HELP) == verbs
 
 
 def test_module_entry_point():
