@@ -395,3 +395,79 @@ def test_measures_cost_memory_in_domain(name, expected):
         tracemalloc.stop()
     assert value == expected
     assert peak < 2 * 2**20
+
+
+# sees the order of the blocks in a union, which no fiber count does
+first_image = CandidateMeasure("first_image", lambda f: float(f.map[0]) if f.map else 0.0)
+
+
+def _screens():
+    """Every render of the screen and the family check at size limits 0-3.
+
+    Each screen evaluates its measure once per process and then once per
+    disjoint union of two, up to the first that fails additivity; the
+    number of evaluations is part of what is returned.
+    """
+    out = []
+    for size_limit in range(4):
+        n = len(list(enumerate_all_functions(size_limit)))
+        for variant in (BIJ, INJ):
+            for mu in SCREENED + [neg_phi_0, nan_measure, first_image]:
+                calls = []
+                counted = CandidateMeasure(mu.name, lambda f, fn=mu.fn: calls.append(f) or fn(f))
+                report = check_measure(variant, counted, size_limit)
+                if report.additivity.passed:
+                    assert len(calls) == n + n * n
+                out.append(f"{report.render()}\n  evaluations: {len(calls)}")
+            family = default_family(variant)
+            for members in [family] + [(mu,) for mu in family]:
+                try:
+                    out.append(check_complete_family(variant, members, size_limit).render())
+                except MeasureRejected as exc:
+                    out.append(str(exc))
+    return out
+
+
+def test_kept_and_streamed_unions_screen_alike(monkeypatch):
+    kept = _screens()
+    assert monotones._kept_unions.cache_info().currsize == 4
+    monotones._kept_unions.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(monotones, "_KEPT_UNIONS", 0)
+        streamed = _screens()
+    assert monotones._kept_unions.cache_info().currsize == 0
+    assert streamed == kept
+
+
+def test_kept_unions_stay_bounded(monkeypatch):
+    monotones._kept_unions.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(monotones, "_KEPT_UNIONS", 3599)
+        check_measure(BIJ, BUILTIN_MEASURES["phi_2"], 3)
+    assert monotones._kept_unions.cache_info().currsize == 0
+
+    tracemalloc.start()
+    try:
+        table = monotones._kept_unions(3)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert type(table) is tuple and len(table) == 60 * 60
+    assert held < 2**20
+
+
+def test_a_raising_measure_leaves_the_kept_unions_intact():
+    def explodes(f):
+        if f.dom.size == 5:
+            raise ArithmeticError("no value on 5 points")
+        return float(f.dom.size)
+
+    def renders():
+        return [check_measure(v, mu, 3).render() for v in (BIJ, INJ) for mu in SCREENED]
+
+    monotones._kept_unions.cache_clear()
+    with pytest.raises(ArithmeticError, match="no value on 5 points"):
+        check_measure(BIJ, CandidateMeasure("explodes", explodes), 3)
+    after = renders()
+    monotones._kept_unions.cache_clear()
+    assert after == renders()
