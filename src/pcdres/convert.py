@@ -46,14 +46,13 @@ from .finset import (
     enumerate_injections,
     finfun_from_dict,
     finfun_to_dict,
-    identity,
     is_bijection,
     is_injection,
     reject_unknown_fields,
     relation_from_dict,
     relation_to_dict,
 )
-from .profiles import Profile, fiber_sizes, realize_profile, size_counts, tail_counts
+from .profiles import Profile, fiber_sizes, realize_profile, size_counts
 
 
 class NotConvertibleError(ValueError):
@@ -66,9 +65,11 @@ class TheoryInstance:
     The :class:`TheoryVariant` members and the oracle's relational theory
     implement it; ``check_witness`` also reads ``morphism_type``, and the
     command line calls ``witness(f, g)`` and the two ``*_from_dict`` decoders.
-    The oracle's search takes its wirings ``xi1`` from ``xi1_candidates``,
-    every free morphism by default; the set theories narrow that to one
-    wiring per orbit of the equation's symmetries.
+    The oracle's search scans the ``(Z, C)`` sizes that ``levels`` yields
+    and takes its wirings ``xi1`` from ``xi1_candidates``: every level and
+    every free morphism by default.  The set theories narrow that to the
+    levels where free wirings exist and to one wiring per orbit of the
+    equation's symmetries.
     """
 
     name: str
@@ -93,6 +94,14 @@ class TheoryInstance:
 
     def free_morphisms(self, dom: FinSet, cod: FinSet):
         raise NotImplementedError
+
+    def levels(self, f, g, bounds) -> Iterator[tuple[int, int]]:
+        """The sizes ``(Z, C)`` the search scans: ``Z`` ascending, then ``C``.
+
+        Default: every level within ``bounds``.  A theory may leave out
+        levels, judged from sizes alone, on which no candidate can solve.
+        """
+        return itertools.product(range(bounds.max_z + 1), range(bounds.max_c + 1))
 
     def xi1_candidates(self, f, z: FinSet, a: FinSet, c: FinSet):
         """The wirings ``xi1 : A (x) C -> dom(f) (x) Z`` the search tries, in scan order.
@@ -162,7 +171,10 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         return FinSet(x.size + y.size)
 
     def pad(self, f: FinFun, z: FinSet) -> FinFun:
-        return disjoint_union(f, identity(z))
+        n = f.cod.size
+        return FinFun._trusted(
+            FinSet(f.dom.size + z.size), FinSet(n + z.size), f.map + tuple(range(n, n + z.size))
+        )
 
     def morphism_from_dict(self, data: object) -> FinFun:
         return finfun_from_dict(data)
@@ -177,16 +189,47 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         """The free morphisms ``dom -> cod`` in enumeration order, built once per shape."""
         return iter(_free_funs(self, getattr(dom, "size", dom), getattr(cod, "size", cod)))
 
-    def xi1_candidates(self, f: FinFun, z: FinSet, a: FinSet, c: FinSet) -> tuple[FinFun, ...]:
+    def levels(self, f: FinFun, g: FinFun, bounds) -> Iterator[tuple[int, int]]:
+        """The levels with a free ``xi1`` and, for some ``D <= max_d``, a free ``xi2``.
+
+        With ``A = dom(g)``, ``xi1 : A + C -> dom(f) + Z`` is free only if
+        ``A + C <= dom(f) + Z``, with equality under set-bij.
+        ``xi2 : cod(f) + Z -> cod(g) + D`` is free only if
+        ``spare = cod(f) + Z - cod(g) <= D``, with equality under set-bij, so
+        only if ``spare <= max_d`` (and ``spare >= 0`` under set-bij).
+        :meth:`solve_discard` rejects every candidate of a skipped level for
+        exactly these reasons, so the first witness is unchanged.  ``spare``
+        grows with ``Z``, so the scan stops at the first ``Z`` where it
+        passes ``max_d``.
+        """
+        for z in range(bounds.max_z + 1):
+            spare = f.cod.size + z - g.cod.size
+            if spare > bounds.max_d:
+                return
+            room = f.dom.size + z - g.dom.size  # the largest C with a free xi1
+            if self is TheoryVariant.SET_INJ:
+                for c in range(min(room, bounds.max_c) + 1):
+                    yield z, c
+            elif spare >= 0 and 0 <= room <= bounds.max_c:
+                yield z, room
+
+    def xi1_candidates(
+        self, f: FinFun, z: FinSet, a: FinSet, c: FinSet
+    ) -> tuple[FinFun, ...] | Iterator[FinFun]:
         """The free ``xi1`` least in their orbit under the equation's symmetries.
 
         The symmetries and the proof that the first witness is unchanged are
-        in the :mod:`pcdres.oracle` docstring.
+        in the :mod:`pcdres.oracle` docstring.  A tuple built once per shape,
+        or a stream for a shape with more than ``_KEPT_XI1`` of them; both
+        in the same order.  A shape with no free map gives no candidate.
         """
         n, size = f.dom.size + z.size, a.size + c.size
         if size > n or (self is TheoryVariant.SET_BIJ and size != n):
             return ()  # no free map of this shape
-        return _canonical_xi1(_fiber_classes(f.map), z.size, a.size, c.size)
+        try:
+            return _canonical_xi1(_fiber_classes(f.map), z.size, a.size, c.size)
+        except _Unkept as unkept:
+            return unkept.scan
 
     def is_free(self, f: FinFun) -> bool:
         return is_bijection(f) if self is TheoryVariant.SET_BIJ else is_injection(f)
@@ -261,20 +304,55 @@ def _fiber_classes(fmap: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-1 if sizes[y] == 1 else rank.setdefault(y, len(rank)) for y in fmap)
 
 
+# The most wirings the cache keeps for one shape; larger shapes stream.
+# Six 2-fibers at ``Z = C = 0`` have 10,395.
+_KEPT_XI1 = 1 << 14
+
+
+class _Unkept(Exception):
+    """Raised by :func:`_canonical_xi1` for a shape it does not keep, so nothing is cached.
+
+    ``scan`` streams all of the shape's wirings, in order.
+    """
+
+    def __init__(self, scan: Iterator[FinFun]) -> None:
+        super().__init__()
+        self.scan = scan
+
+
 @lru_cache(maxsize=None)
 def _canonical_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> tuple[FinFun, ...]:
+    """:func:`_scan_xi1` as a tuple; :class:`_Unkept` past ``_KEPT_XI1`` maps."""
+    scan = _scan_xi1(classes, z, a, c)
+    kept = tuple(itertools.islice(scan, _KEPT_XI1 + 1))
+    if len(kept) > _KEPT_XI1:
+        raise _Unkept(itertools.chain(kept, scan))
+    return kept
+
+
+def _scan_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> Iterator[FinFun]:
     """The free ``xi1 : a + c -> len(classes) + z`` least in their orbit, in lexicographic order.
 
     The maps are injective, and the caller passes only shapes that have a
     free map, so under set-bij they are bijective.  The ``Z`` points join
-    class -1.  A map is least in its orbit exactly when the i-th use of each
-    class is that class's i-th smallest member and the images of the last
-    ``c`` inputs increase, so a prefix extends only by the next unused member
-    of each class.  The scan pops one ``(entries, uses of each class)`` prefix
-    off a stack and pushes its extensions largest first.  The least prefix
-    on the stack is then always on top: each extension of the popped prefix
-    is less than everything beneath it, as the popped prefix was.  So the
-    complete maps come out in lexicographic order, with no recursion.
+    class -1; every other class is one fiber of ``f``.  A map is least in
+    its orbit exactly when
+
+    - the i-th use of each class is that class's i-th smallest member;
+    - a fiber is first used only after the fiber of its size with the
+      next smaller first member;
+    - the images of the last ``c`` inputs increase;
+    - and the ``C`` block spreads its uses over the fibers of each size
+      that the first ``a`` inputs leave unused as :func:`_least_spread`
+      asks.  With ``c <= 2`` the other rules already ensure it.
+
+    So a prefix extends only by the next unused member of a class, and a
+    fiber's first member only once the fiber before it is in use.  The scan
+    pops one ``(entries, uses of each class)`` prefix off a stack and pushes
+    its extensions largest first.  The least prefix on the stack is then
+    always on top: each extension of the popped prefix is less than
+    everything beneath it, as the popped prefix was.  So the complete maps
+    come out in lexicographic order, with no recursion.
     """
     n = len(classes) + z
     size = a + c
@@ -282,21 +360,76 @@ def _canonical_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> tuple[Fi
     for x, k in enumerate(classes + (-1,) * z):
         pools.setdefault(k, []).append(x)
     members = list(pools.values())
+    class_of = [0] * n
+    for i, m in enumerate(members):
+        for x in m:
+            class_of[x] = i
+    # after[i]: the class that must be in use before fiber i opens
+    after: list[int | None] = []
+    by_size: dict[int, list[int]] = {}
+    for i, (k, m) in enumerate(pools.items()):
+        same = by_size.setdefault(len(m), []) if k >= 0 else []
+        after.append(same[-1] if same else None)
+        same.append(i)
+    twins = [t for t in by_size.values() if len(t) > 1] if c > 2 else []
     dom, cod = FinSet(size), FinSet(n)
-    found: list[FinFun] = []
     stack = [((), (0,) * len(members))]
     while stack:
         entries, used = stack.pop()
         if len(entries) == size:
-            found.append(FinFun._trusted(dom, cod, entries))
+            if not twins or _least_spread(entries, a, members, class_of, twins):
+                yield FinFun._trusted(dom, cod, entries)
             continue
         low = entries[-1] if len(entries) > a else -1
         nexts = [
-            (m[u], k) for k, (m, u) in enumerate(zip(members, used)) if u < len(m) and m[u] > low
+            (m[u], k)
+            for k, (m, u, w) in enumerate(zip(members, used, after))
+            if u < len(m) and m[u] > low and (u or w is None or used[w])
         ]
         for x, k in sorted(nexts, reverse=True):
             stack.append((entries + (x,), used[:k] + (used[k] + 1,) + used[k + 1 :]))
-    return tuple(found)
+
+
+def _least_spread(
+    entries: tuple[int, ...],
+    a: int,
+    members: list[list[int]],
+    class_of: list[int],
+    twins: list[list[int]],
+) -> bool:
+    """Whether no swap of whole fibers of one size makes the ``C`` block of ``entries`` less.
+
+    Only the fibers of ``twins`` (classes of one size) that the first ``a``
+    entries leave unused can move, and the ``C`` block takes the smallest
+    members of each, so the blocks of one orbit differ only in which fiber
+    takes which count.  Two sorted blocks of one size compare at the least
+    member one has and the other lacks, so the least block is greedy: walk
+    the fibers' members upwards and take each one that some reassignment
+    of the counts can still reach, given the members taken and passed over
+    so far.  That holds when the counts of the fibers still open, sorted
+    largest first, cover their members taken, sorted alike.  ``entries``
+    is least when it passes over no such member.
+    """
+    opened = {class_of[x] for x in entries[:a]}
+    counts = Counter(class_of[x] for x in entries[a:])
+    for twin in twins:
+        fibers = [i for i in twin if i not in opened]
+        if len({counts[i] for i in fibers} - {0}) < 2:
+            continue  # the opening order already makes this spread least
+        taken = dict.fromkeys(fibers, 0)  # members reached so far, per fiber still open
+        for x in sorted(x for i in fibers for x in members[i]):
+            i = class_of[x]
+            if i not in taken:
+                continue
+            taken[i] += 1
+            if taken[i] <= counts[i]:
+                continue
+            need = sorted(taken.values(), reverse=True)
+            have = sorted((counts[j] for j in taken), reverse=True)
+            if all(map(int.__ge__, have, need)):
+                return False  # another spread takes x
+            del taken[i]
+    return True
 
 
 @dataclass(frozen=True)
@@ -310,14 +443,20 @@ class Witness:
 
 
 def _form(variant: TheoryVariant, counts: list[int]) -> list[int]:
-    """The dense normal form of a :func:`size_counts` list, as a new list.
+    """The dense normal form of a :func:`size_counts` list, built in that list.
 
-    Multiplicity counts under set-bij, tail counts under set-inj, with the
-    excluded indices set to 0.
+    Multiplicity counts under set-bij, tail counts under set-inj (one
+    running sum from the top, then reversed), with the excluded indices set
+    to 0.  ``counts`` may be overwritten: pass a copy to keep it.
     """
     if variant is TheoryVariant.SET_INJ:
-        return [0, 0] + tail_counts(counts)[2:]
-    return counts[:1] + [0] + counts[2:]
+        counts = list(itertools.accumulate(reversed(counts)))
+        counts.reverse()
+        if counts:
+            counts[0] = 0
+    if len(counts) > 1:
+        counts[1] = 0
+    return counts
 
 
 def _dense_form(variant: TheoryVariant, f: FinFun) -> list[int]:
@@ -424,7 +563,7 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
     ``G = g + j``, built with the theory's ``pad`` and ``tensor``.
     """
     f_counts, g_counts = size_counts(f), size_counts(g)
-    if not _dominates(_form(variant, f_counts), _form(variant, g_counts)):
+    if not _dominates(_form(variant, f_counts.copy()), _form(variant, g_counts.copy())):
         raise NotConvertibleError(
             f"f ({f.dom.size} -> {f.cod.size}) does not convert to "
             f"g ({g.dom.size} -> {g.cod.size}) under {variant.value}"

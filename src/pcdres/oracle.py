@@ -19,27 +19,47 @@ witness is the first one in that fixed order.  The set theories are the
 the least value still free to it (proof in ``TheoryVariant.solve_discard``).
 The relational theory falls back to plain enumeration of free morphisms.
 
-The set theories also skip most wirings ``xi1 : A + C -> dom(f) + Z``
-(``TheoryInstance.xi1_candidates``).  Three symmetries of the equation
-act on them:
+The set theories skip, from sizes alone, every level ``(Z, C)`` that
+holds no free ``xi1 : A + C -> dom(f) + Z`` or, for every ``D <= max_d``,
+no free ``xi2 : cod(f) + Z -> cod(g) + D`` (``TheoryInstance.levels``).
+With ``A = dom(g)`` and ``spare = cod(f) + Z - cod(g)``, set-bij scans
+only ``C = dom(f) + Z - A`` and only while ``0 <= spare <= max_d``; set-inj
+scans every ``C <= dom(f) + Z - A`` while ``spare <= max_d``.
+``solve_discard`` rejects every candidate of a skipped level for exactly
+these reasons, so the first witness is unchanged.
+
+They also skip most wirings ``xi1`` (``TheoryInstance.xi1_candidates``).
+Four symmetries of the equation act on them:
 
 1. permuting the points of ``dom(f)`` inside one fiber of ``f``;
 2. permuting the class made of every singleton-fiber point of ``f``
    together with every ``Z`` point;
-3. permuting the ``C`` junk inputs.
+3. permuting the ``C`` junk inputs;
+4. permuting whole fibers of ``f`` of equal size, together with their
+   codomain points.
 
 The first fixes ``f + 1_Z``, the second commutes with it up to a bijection
 of ``cod(f) + Z`` that ``xi2`` absorbs, and the third only reorders the
-inputs of ``j``; so each sends a solvable ``xi1`` to a solvable one at the
-same ``(Z, C, D)``.  The scan keeps the ``xi1`` least in lexicographic order
-within their orbit: the i-th use of each class is its i-th smallest member,
-and the images of the ``C`` block increase (isomorph-free generation, as in
-McKay, J. Algorithms 1998).  Proof that the witness is unchanged: the whole
-orbit of a solvable ``xi1`` is solvable, so the first solvable ``xi1`` in
-the plain scan is least in its orbit and is kept; every kept ``xi1`` before
-it was also in the plain scan before it, hence not solvable.  The classes
-are read from the fiber partition of ``f.map``, never from profile counts,
-so the search stays independent of :func:`pcdres.convert.decide`.
+inputs of ``j``.  For the fourth, let ``s`` carry each moved fiber onto its
+image and ``t`` carry their codomain points along, so that
+``f . s = t . f``.  If ``xi2 . (f + 1_Z) . xi1 = g + j``, then
+``xi2 . (t^-1 + 1_Z)`` is free, has the same ``D``, and solves for
+``(s + 1_Z) . xi1``.  So each symmetry sends a solvable ``xi1`` to a
+solvable one at the same ``(Z, C, D)``.  The scan keeps the ``xi1`` least
+in lexicographic order within their orbit: the i-th use of each class is
+its i-th smallest member, a fiber is first used only after the fiber of
+its size with the next smaller first member, the images of the ``C`` block
+increase, and the ``C`` block spreads its uses over the fibers of one size
+in the least way (isomorph-free generation, as in McKay, J. Algorithms
+1998).  Proof that the witness is unchanged: the whole orbit of a solvable
+``xi1`` is solvable, so the first solvable ``xi1`` in the plain scan is
+least in its orbit and is kept; every kept ``xi1`` before it was also in
+the plain scan before it, hence not solvable.  The classes are read from
+the fiber partition of ``f.map``, never from profile counts, so the search
+stays independent of :func:`pcdres.convert.decide`.  Each shape's kept
+wirings are built once and cached, up to ``convert._KEPT_XI1`` (16,384) of
+them; a larger shape streams them from the same scan, in the same order,
+so memory stays bounded.
 
 Everything here also works for the relational theory over cartesian
 products, whose free morphisms are graphs of functions.  That theory orders
@@ -55,6 +75,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .convert import TheoryInstance, TheoryVariant, Witness, witness_from_dict
 from .finset import (
@@ -177,11 +198,11 @@ def oracle_convertible(
     """Search for a conversion witness within ``bounds``; None if none exists there."""
     if bounds is None:
         bounds = default_bounds(f, g)
-    junk_inputs = [FinSet(c) for c in range(bounds.max_c + 1)]
-    for z in range(bounds.max_z + 1):
+    for z, level in itertools.groupby(theory.levels(f, g, bounds), itemgetter(0)):
         z_obj = FinSet(z)
         padded = theory.pad(f, z_obj)
-        for c_obj in junk_inputs:
+        for _, c in level:
+            c_obj = FinSet(c)
             for xi1 in theory.xi1_candidates(f, z_obj, g.dom, c_obj):
                 m = theory.compose(padded, xi1)
                 found = theory.solve_discard(m, g, c_obj.size, bounds.max_d)

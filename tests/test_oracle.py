@@ -2,8 +2,9 @@
 
 The search is the independent route: it never looks at fiber profiles, only at
 the defining equation.  These tests pin its output on worked examples, compare
-the one-pass discarding solver and the symmetry-reduced ``xi1`` scan against
-plain enumeration, and check the order structure the search recovers.
+the one-pass discarding solver, the symmetry-reduced ``xi1`` scan and the
+level pruning against plain enumeration, and check the order structure the
+search recovers.
 """
 
 import gc
@@ -26,6 +27,7 @@ from pcdres import (
     disjoint_union,
     enumerate_all_functions,
     enumerate_functions,
+    identity,
     oracle_convertible,
     preorder_lines,
     preorder_table,
@@ -33,6 +35,7 @@ from pcdres import (
     theory_for,
 )
 from pcdres import check_witness as verify_witness
+from pcdres import convert
 from pcdres.convert import _canonical_xi1, _fiber_classes, _free_funs
 from pcdres.oracle import REL_TIMES_THEORY, BoundsTooTightError, TheoryInstance
 
@@ -169,24 +172,50 @@ def test_symmetry_reduced_scan_matches_plain_scan():
                 assert oracle_convertible(variant, f, g, bounds) == expected, (f, g)
 
 
-def _least_in_orbit(xi1, classes, a):
-    """Brute force: the least image of ``xi1`` under relabelings within classes
-    of its codomain and reorderings of its inputs from position ``a`` on."""
+def _relabelings(classes):
+    """Brute force: every relabeling of a codomain that the symmetries allow.
+
+    Points move within their class, and whole fibers (classes other than
+    -1) move onto fibers of equal size, members in any order.
+    """
     pools = {}
     for x, k in enumerate(classes):
         pools.setdefault(k, []).append(x)
+    singles = pools.pop(-1, [])
+    fibers = list(pools.values())
     relabelings = []
-    for images in itertools.product(*(itertools.permutations(p) for p in pools.values())):
-        sigma = {}
-        for pool, image in zip(pools.values(), images):
-            sigma.update(zip(pool, image))
-        relabelings.append(sigma)
+    for targets in itertools.permutations(fibers):
+        if any(len(t) != len(fiber) for t, fiber in zip(targets, fibers)):
+            continue
+        for images in itertools.product(
+            itertools.permutations(singles), *map(itertools.permutations, targets)
+        ):
+            sigma = {}
+            for pool, image in zip([singles, *fibers], images):
+                sigma.update(zip(pool, image))
+            relabelings.append(sigma)
+    return relabelings
+
+
+def _least_in_orbit(xi1, relabelings, a):
+    """Brute force: the least image of ``xi1`` under the ``relabelings`` of its
+    codomain and reorderings of its inputs from position ``a`` on (for each
+    relabeling the sorted tail is the least reordering)."""
     head, tail = xi1.map[:a], xi1.map[a:]
     return min(
-        tuple(sigma[x] for x in head + order)
+        tuple(sigma[x] for x in head) + tuple(sorted(sigma[x] for x in tail))
         for sigma in relabelings
-        for order in itertools.permutations(tail)
     )
+
+
+def _orbit_least_candidates(variant, f, z, a, c):
+    """The plain scan's free maps that are least in their orbit, in scan order."""
+    relabelings = _relabelings(_fiber_classes(f.map) + (-1,) * z)
+    return [
+        xi1
+        for xi1 in PlainScan(variant).xi1_candidates(f, FinSet(z), FinSet(a), FinSet(c))
+        if xi1.map == _least_in_orbit(xi1, relabelings, a)
+    ]
 
 
 def test_xi1_candidates_are_the_orbit_representatives():
@@ -197,14 +226,96 @@ def test_xi1_candidates_are_the_orbit_representatives():
     for f in shapes.values():
         for variant in TheoryVariant:
             for z, a, c in itertools.product(range(2), range(3), range(3)):
-                zs, as_, cs = FinSet(z), FinSet(a), FinSet(c)
-                classes = _fiber_classes(f.map) + (-1,) * z
-                expected = [
-                    xi1
-                    for xi1 in PlainScan(variant).xi1_candidates(f, zs, as_, cs)
-                    if xi1.map == _least_in_orbit(xi1, classes, a)
-                ]
-                assert list(variant.xi1_candidates(f, zs, as_, cs)) == expected
+                expected = _orbit_least_candidates(variant, f, z, a, c)
+                got = variant.xi1_candidates(f, FinSet(z), FinSet(a), FinSet(c))
+                assert list(got) == expected
+
+
+# three 2-fibers and two 3-fibers, with fibers laid out in blocks and interleaved
+TWIN_FIBERS = [
+    FinFun.from_map([0, 0, 1, 1, 2, 2], 3),
+    FinFun.from_map([0, 1, 2, 2, 1, 0], 3),
+    FinFun.from_map([0, 0, 0, 1, 1, 1], 2),
+    FinFun.from_map([0, 1, 1, 0, 1, 0], 2),
+]
+
+
+def test_xi1_candidates_are_the_orbit_representatives_across_equal_fibers():
+    # fibers of equal size swap whole; a C block of three or more inputs
+    # can spread its uses over them unevenly, which the opening order alone
+    # does not make least.  Z points only join the singleton class, which
+    # the test above covers, so Z = 0 here keeps the brute force quick.
+    cases = 0
+    for f in TWIN_FIBERS:
+        for variant in TheoryVariant:
+            for a, c in itertools.product(range(3), range(3, 5)):
+                expected = _orbit_least_candidates(variant, f, 0, a, c)
+                got = variant.xi1_candidates(f, FinSet(0), FinSet(a), FinSet(c))
+                assert list(got) == expected, (f, variant, a, c)
+                cases += len(expected)
+    assert cases == 68
+
+
+def _fibers_of_two(k):
+    return FinFun.from_map([i // 2 for i in range(2 * k)], k)
+
+
+def test_equal_fibers_cut_the_wirings_of_f_equals_g():
+    # 10!/(2^5 5!) and 12!/(2^6 6!): one wiring per way to pair up the points
+    for k, count in ((5, 945), (6, 10_395)):
+        f = _fibers_of_two(k)
+        for variant in TheoryVariant:
+            got = variant.xi1_candidates(f, FinSet(0), f.dom, FinSet(0))
+            assert len(got) == count
+            assert got[0] == identity(f.dom)
+
+
+def test_large_shapes_stream_in_the_cached_order(monkeypatch):
+    f = _fibers_of_two(4)
+    shape = (f, FinSet(1), FinSet(6), FinSet(3))
+    cached = TheoryVariant.SET_INJ.xi1_candidates(*shape)
+    assert isinstance(cached, tuple) and len(cached) > 10
+    _canonical_xi1.cache_clear()
+    monkeypatch.setattr(convert, "_KEPT_XI1", 10)
+    streamed = TheoryVariant.SET_INJ.xi1_candidates(*shape)
+    assert not isinstance(streamed, tuple)
+    assert tuple(streamed) == cached
+    assert _canonical_xi1.cache_info().currsize == 0
+    # a shape within the cap is still kept
+    kept = TheoryVariant.SET_INJ.xi1_candidates(f, FinSet(0), FinSet(1), FinSet(0))
+    assert isinstance(kept, tuple)
+    assert _canonical_xi1.cache_info().currsize == 1
+
+
+class PlainLevels(Wrapped):
+    """Same theory, but the search scans every level within bounds."""
+
+    levels = TheoryInstance.levels
+
+
+def test_level_pruning_keeps_the_first_witness():
+    # the set theories skip levels with no free xi1 or xi2 from sizes alone;
+    # the scan of every level must find the very same witness
+    small = list(enumerate_all_functions(2))
+    dom4 = [f for c in range(4) for f in enumerate_functions(4, c)]
+    for bounds in (
+        SearchBounds(2, 4, 4),
+        SearchBounds(0, 0, 0),
+        SearchBounds(1, 2, 0),
+        SearchBounds(3, 1, 2),
+    ):
+        for variant in TheoryVariant:
+            plain = PlainLevels(variant)
+            for f in small + dom4:
+                for g in small:
+                    expected = oracle_convertible(plain, f, g, bounds)
+                    assert oracle_convertible(variant, f, g, bounds) == expected, (bounds, f, g)
+    rels = list(all_relations(1))
+    plain = PlainLevels(REL_TIMES_THEORY)
+    for f in rels:
+        for g in rels:
+            expected = oracle_convertible(plain, f, g)
+            assert oracle_convertible(REL_TIMES_THEORY, f, g) == expected
 
 
 def test_oracle_agrees_with_decide_on_a_size_4_sample():
