@@ -15,6 +15,7 @@ unexpected exception, reported as one ``error: internal:`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .convert import (
     normal_form,
     witness_to_dict,
 )
-from .finset import FormatError, finfun_from_dict
+from .finset import FormatError, _compact_json, finfun_from_dict
 from .monotones import (
     BUILTIN_MEASURES,
     check_complete_family,
@@ -82,10 +83,6 @@ def _check_budget(count: int, subject: str, unit: str) -> None:
         )
 
 
-def _compact(data: dict) -> str:
-    return json.dumps(data, separators=(",", ":"))
-
-
 def _load_json(arg: str, inline: bool):
     if inline:
         text, where = arg, "inline argument"
@@ -110,8 +107,8 @@ def _load_pair(args, theory) -> list:
 
 def _cmd_profile(args) -> int:
     f = finfun_from_dict(_load_json(args.morphism, args.inline))
-    print("phi " + _compact(profile_to_dict(phi_profile(f))))
-    print("gamma " + _compact(profile_to_dict(gamma_profile(f))))
+    print("phi " + _compact_json(profile_to_dict(phi_profile(f))))
+    print("gamma " + _compact_json(profile_to_dict(gamma_profile(f))))
     return EXIT_TRUE
 
 
@@ -139,7 +136,7 @@ def _cmd_witness(args) -> int:
     except NotConvertibleError:
         print("no witness: f does not convert to g", file=sys.stderr)
         return EXIT_NO_WITNESS
-    print(_compact(witness_to_dict(w)))
+    print(_compact_json(witness_to_dict(w)))
     return EXIT_TRUE
 
 
@@ -157,7 +154,7 @@ def _cmd_equiv(args) -> int:
     f, g = _load_pair(args, variant)
     form = normal_form(variant, f)
     if form == normal_form(variant, g):
-        print(_compact(profile_to_dict(form)))
+        print(_compact_json(profile_to_dict(form)))
         return EXIT_TRUE
     print("inequivalent")
     return EXIT_FALSE
@@ -187,7 +184,7 @@ def _cmd_oracle(args) -> int:
     if w is None:
         print("no witness within bounds")
         return EXIT_NO_WITNESS
-    print(_compact(witness_to_dict(w)))
+    print(_compact_json(witness_to_dict(w)))
     return EXIT_TRUE
 
 
@@ -225,7 +222,12 @@ def _cmd_family_check(args) -> int:
     return EXIT_TRUE if report.passed else EXIT_FALSE
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and kept for the process.
+
+    Each verb names its handler, which :func:`main` looks up when it runs.
+    """
     parser = _Parser(prog="pcdres", description=__doc__.split("\n", 1)[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -276,7 +278,7 @@ def _build_parser() -> _Parser:
          "check a family of measures for completeness", _cmd_family_check),
     )
     for name, parents, text, handler in verbs:
-        subs.add_parser(name, parents=parents, help=text).set_defaults(handler=handler)
+        subs.add_parser(name, parents=parents, help=text).set_defaults(handler=handler.__name__)
     subs.choices["profile"].add_argument("morphism")
     subs.choices["check-witness"].add_argument("w")
 
@@ -284,10 +286,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

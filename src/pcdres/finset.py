@@ -34,11 +34,20 @@ tens of thousands per call.  ``FinSet`` instances are shared per size:
 per ``n``.  ``FinFun`` and ``Relation`` are slotted frozen dataclasses.
 Their trusted constructors set the slots directly, and they hash their two
 sizes with their entries or pairs.
+
+``FinFun`` has one more, private slot, ``_counts``: a memo of the function's
+fiber-size counts (``profiles.size_counts`` as a tuple), or ``None``.  It is
+not a dataclass field, so equality, hashing, ``repr``, pickling, copying and
+the wire format ignore it.  Every constructor sets it to ``None``, so a copy
+or an unpickled function has no memo.  Only the monotone screen fills it,
+on the processes and disjoint unions it keeps for a whole run, and only the
+built-in count measures read it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -123,13 +132,14 @@ def _first_bad_entry(entries: Sequence[object], cod_size: int) -> int | None:
 class FinFun:
     """A total function between canonical finite sets, stored as its graph."""
 
-    __slots__ = ("dom", "cod", "map")
+    __slots__ = ("dom", "cod", "map", "_counts")  # _counts: see the module docstring
     dom: FinSet
     cod: FinSet
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "map", tuple(self.map))
+        object.__setattr__(self, "_counts", None)
         if len(self.map) != self.dom.size:
             raise ValueError(
                 f"map has {len(self.map)} entries but dom has size {self.dom.size}"
@@ -148,6 +158,7 @@ class FinFun:
         _set_fun_dom(f, dom)
         _set_fun_cod(f, cod)
         _set_fun_map(f, entries)
+        _set_fun_counts(f, None)
         return f
 
     @classmethod
@@ -171,8 +182,8 @@ class FinFun:
 
 # The trusted constructors set the slots through these, bound once.
 _new = object.__new__
-_set_fun_dom, _set_fun_cod, _set_fun_map = (
-    FinFun.dom.__set__, FinFun.cod.__set__, FinFun.map.__set__
+_set_fun_dom, _set_fun_cod, _set_fun_map, _set_fun_counts = (
+    FinFun.dom.__set__, FinFun.cod.__set__, FinFun.map.__set__, FinFun._counts.__set__
 )
 
 
@@ -396,6 +407,19 @@ def finfun_from_dict(data: object) -> FinFun:
     if i is not None:
         raise FormatError(f"field 'map[{i}]' must be an integer in [0, {cod})")
     return FinFun._trusted(FinSet(dom), FinSet(cod), tuple(entries))
+
+
+def _compact_json(data: object) -> str:
+    """``data`` as JSON without spaces, a ``FinFun`` or ``Relation`` in its wire format.
+
+    Every morphism, profile and witness the CLI prints or a report shows is
+    written this way.
+    """
+    if isinstance(data, FinFun):
+        data = finfun_to_dict(data)
+    elif isinstance(data, Relation):
+        data = relation_to_dict(data)
+    return json.dumps(data, separators=(",", ":"))
 
 
 def relation_to_dict(r: Relation) -> dict:

@@ -19,9 +19,14 @@ wiring of ``f`` is a conversion from ``f``.  They are sufficient: from
 size limit and reports the first counterexample for each failing one; each
 test is phrased so that a value that is not a number fails it.  It
 evaluates ``mu`` once per enumerated process and once per disjoint union of
-two of them.  The unions depend only on the size limit: up to size limit 3
-the first screen builds them and later screens reuse them, and above it
-they are built one at a time, because size limit 4 already has 249,001.
+two of them.  Most of the screen's work does not depend on ``mu``: the
+processes, their unions, the fiber counts the built-in measures read, and
+which process each free wiring of a process gives.  Up to size limit 3 the
+first screen builds these tables and later screens reuse them: the
+processes and unions carry their counts in ``FinFun``'s private memo slot,
+and the wirings are kept as rows of process indices, so the monotonicity
+test compares two stored values per wiring.  Above size limit 3 they are
+built one at a time, because size limit 4 already has 249,001 unions.
 :func:`induce_monotone` packages a passing measure as a function of normal
 forms; :func:`check_complete_family` tests whether a family of passing
 measures jointly characterizes convertibility.
@@ -36,17 +41,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
+import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .convert import TheoryVariant, _dense_form, _dominates, normal_form, representative
 from .finset import (
     FinFun,
+    _compact_json,
+    _set_fun_counts,
     compose,
     disjoint_union,
     enumerate_all_functions,
-    finfun_to_dict,
     identity,
 )
 from .profiles import Profile, size_counts
@@ -73,10 +79,6 @@ class MeasureRejected(ValueError):
         self.report = report
 
 
-def _fmt(f: FinFun) -> str:
-    return json.dumps(finfun_to_dict(f), separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class ConditionResult:
     passed: bool
@@ -86,7 +88,7 @@ class ConditionResult:
     def render(self) -> str:
         if self.passed:
             return "pass"
-        shown = " ".join(_fmt(m) for m in self.counterexample)
+        shown = " ".join(map(_compact_json, self.counterexample))
         return f"FAIL {self.note} [{shown}]"
 
 
@@ -125,40 +127,87 @@ class CheckReport:
         )
 
 
-# The unions of all ordered pairs of enumerated processes are kept while the
-# pairs number at most this: size limit 3 has 3,600 (about 0.3 MiB), size
-# limit 4 has 249,001 (tens of MiB), so size limits above 3 stream them.
+# The screen keeps its tables for a size limit while the ordered pairs of
+# enumerated processes number at most this: size limit 3 has 3,600 (about
+# 0.85 MiB with the counts and both variants' wirings), size limit 4 has
+# 249,001 (tens of MiB), so size limits above 3 stream them.
 _KEPT_UNIONS = 1 << 16
+
+
+def _keeps_tables(size_limit: int) -> bool:
+    """Whether screens at ``size_limit`` keep their processes, unions and wirings."""
+    processes = sum(c**d for d in range(size_limit + 1) for c in range(size_limit + 1))
+    return processes * processes <= _KEPT_UNIONS
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_processes(size_limit: int) -> tuple[FinFun, ...]:
+    """The processes up to ``size_limit`` in enumeration order, with their counts."""
+    funs = tuple(enumerate_all_functions(size_limit))
+    for f in funs:
+        _set_fun_counts(f, tuple(size_counts(f)))
+    return funs
 
 
 @functools.lru_cache(maxsize=None)
 def _kept_unions(size_limit: int) -> tuple[FinFun, ...]:
-    """``f + g`` for each ordered pair of processes up to ``size_limit``, in product order."""
-    return tuple(
-        itertools.starmap(
-            disjoint_union,
-            itertools.product(enumerate_all_functions(size_limit), repeat=2),
-        )
-    )
+    """``f + g`` for each ordered pair of processes up to ``size_limit``, in product order.
+
+    The counts of ``f + g`` depend only on those of ``f`` and ``g``, so each
+    pair of those is counted once and its unions share the tuple.
+    """
+    counted: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+    unions = []
+    for f, g in itertools.product(_kept_processes(size_limit), repeat=2):
+        union = disjoint_union(f, g)
+        key = f._counts, g._counts
+        if key not in counted:
+            counted[key] = tuple(size_counts(union))
+        _set_fun_counts(union, counted[key])
+        unions.append(union)
+    return tuple(unions)
+
+
+# (i, xi, k, side): the free wiring xi of process i gives process k
+_Wiring = tuple[int, FinFun, int, str]
+
+
+def _free_wirings(
+    variant: TheoryVariant, funs: tuple[FinFun, ...], size_limit: int
+) -> Iterator[_Wiring]:
+    """A row per free post- and then pre-composite of each of ``funs``, per size.
+
+    ``funs`` are all the processes up to ``size_limit``, so every composite
+    is one of them.
+    """
+    index = {f: k for k, f in enumerate(funs)}
+    for i, f in enumerate(funs):
+        for other in range(size_limit + 1):
+            for xi in variant.free_morphisms(f.cod, other):
+                yield i, xi, index[compose(xi, f)], "post"
+            for xi in variant.free_morphisms(other, f.dom):
+                yield i, xi, index[compose(f, xi)], "pre"
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_wirings(variant: TheoryVariant, size_limit: int) -> tuple[_Wiring, ...]:
+    """The rows of :func:`_free_wirings` on the kept processes."""
+    return tuple(_free_wirings(variant, _kept_processes(size_limit), size_limit))
 
 
 def _check_additivity(
     mu: CandidateMeasure,
-    value_of: dict[FinFun, float],
-    size_limit: int,
+    funs: tuple[FinFun, ...],
+    values: list[float],
+    unions: Iterable[FinFun],
     tolerance: float,
 ) -> ConditionResult:
-    pairs = itertools.product(value_of.items(), repeat=2)
-    if len(value_of) ** 2 <= _KEPT_UNIONS:
-        unions = _kept_unions(size_limit)
-    else:
-        unions = itertools.starmap(disjoint_union, itertools.product(value_of, repeat=2))
-    for ((f, vf), (g, vg)), union in zip(pairs, unions):
-        lhs = mu(union)
-        rhs = vf + vg
+    sums = itertools.starmap(operator.add, itertools.product(values, repeat=2))
+    for k, (lhs, rhs) in enumerate(zip(map(mu, unions), sums)):
         if not abs(lhs - rhs) <= tolerance:
+            i, j = divmod(k, len(funs))
             return ConditionResult(
-                False, (f, g), f"mu(f+g) = {lhs} but mu(f) + mu(g) = {rhs}"
+                False, (funs[i], funs[j]), f"mu(f+g) = {lhs} but mu(f) + mu(g) = {rhs}"
             )
     return ConditionResult(True)
 
@@ -175,37 +224,25 @@ def _check_unit(
     return ConditionResult(True)
 
 
-def _free_wirings(
-    variant: TheoryVariant, f: FinFun, size_limit: int
-) -> Iterator[tuple[FinFun, FinFun, str]]:
-    """``(xi, wired, side)`` for each free post- and then pre-composite of ``f``, per size."""
-    for other in range(size_limit + 1):
-        for xi in variant.free_morphisms(f.cod, other):
-            yield xi, compose(xi, f), "post"
-        for xi in variant.free_morphisms(other, f.dom):
-            yield xi, compose(f, xi), "pre"
-
-
 def _check_monotonicity(
-    variant: TheoryVariant,
-    value_of: dict[FinFun, float],
-    size_limit: int,
+    funs: tuple[FinFun, ...],
+    values: list[float],
+    wirings: Iterable[_Wiring],
     tolerance: float,
 ) -> ConditionResult:
-    for f, base in value_of.items():
-        for xi, wired, side in _free_wirings(variant, f, size_limit):
-            value = value_of[wired]
-            if not value - tolerance <= base:
-                return ConditionResult(
-                    False, (f, xi), f"{side}-composition raises mu from {base} to {value}"
-                )
+    for i, xi, k, side in wirings:
+        base, value = values[i], values[k]
+        if not value - tolerance <= base:
+            return ConditionResult(
+                False, (funs[i], xi), f"{side}-composition raises mu from {base} to {value}"
+            )
     return ConditionResult(True)
 
 
 def _check_nonnegativity(
-    value_of: dict[FinFun, float], tolerance: float
+    funs: tuple[FinFun, ...], values: list[float], tolerance: float
 ) -> ConditionResult:
-    for f, value in value_of.items():
+    for f, value in zip(funs, values):
         if not value >= -tolerance:
             problem = "is negative" if value < 0 else "is not a number"
             return ConditionResult(False, (f,), f"mu = {value} {problem}")
@@ -221,20 +258,32 @@ def check_measure(
     """Screen ``mu`` exhaustively over processes with sizes up to ``size_limit``.
 
     ``mu`` is evaluated once per enumerated process and once per disjoint
-    union of two.  At size limits up to 3 the unions are built by the first
-    screen and kept for the rest of the run; above that each screen builds
-    them one at a time.  Identities and free wirings of enumerated processes
-    stay within the size limit, so the other conditions look their values up.
+    union of two.  Identities and free wirings of enumerated processes stay
+    within the size limit, so the other conditions look their values up.
+    What does not depend on ``mu`` is built once per size limit, and once
+    per variant for the wirings, and kept for the rest of the run at size
+    limits up to 3: the processes and their unions, each with its fiber
+    counts memoized for the built-in count measures, and each free wiring
+    as a row of process indices.  Above that each screen builds them one
+    at a time.
     """
-    value_of = {f: mu(f) for f in enumerate_all_functions(size_limit)}
+    if _keeps_tables(size_limit):
+        funs = _kept_processes(size_limit)
+        unions = _kept_unions(size_limit)
+        wirings = _kept_wirings(variant, size_limit)
+    else:
+        funs = tuple(enumerate_all_functions(size_limit))
+        unions = itertools.starmap(disjoint_union, itertools.product(funs, repeat=2))
+        wirings = _free_wirings(variant, funs, size_limit)
+    values = list(map(mu, funs))
     return CheckReport(
         measure=mu.name,
         variant=variant,
         size_limit=size_limit,
-        additivity=_check_additivity(mu, value_of, size_limit, tolerance),
-        unit=_check_unit(value_of, size_limit, tolerance),
-        monotonicity=_check_monotonicity(variant, value_of, size_limit, tolerance),
-        nonnegativity=_check_nonnegativity(value_of, tolerance),
+        additivity=_check_additivity(mu, funs, values, unions, tolerance),
+        unit=_check_unit(dict(zip(funs, values)), size_limit, tolerance),
+        monotonicity=_check_monotonicity(funs, values, wirings, tolerance),
+        nonnegativity=_check_nonnegativity(funs, values, tolerance),
     )
 
 
@@ -273,7 +322,7 @@ def induce_monotone(
             if abs(value - base) > tolerance:
                 raise MeasureRejected(
                     f"measure {mu.name} is not well defined on classes: "
-                    f"mu = {base} on {_fmt(first)} but {value} on {_fmt(f)}",
+                    f"mu = {base} on {_compact_json(first)} but {value} on {_compact_json(f)}",
                     report,
                 )
         else:
@@ -300,7 +349,7 @@ class FamilyReport:
         if self.passed:
             return head
         f, g = self.counterexample
-        return f"{head}\n  {self.note} [{_fmt(f)} vs {_fmt(g)}]"
+        return f"{head}\n  {self.note} [{_compact_json(f)} vs {_compact_json(g)}]"
 
 
 def check_complete_family(
@@ -343,8 +392,19 @@ def check_complete_family(
 
 
 def _count_measure(name: str, window: slice) -> CandidateMeasure:
-    """The sum of the fiber-size counts in ``window``, 0 past the largest fiber."""
-    return CandidateMeasure(name, lambda f: float(sum(size_counts(f)[window])))
+    """The sum of the fiber-size counts in ``window``, 0 past the largest fiber.
+
+    The counts are read from the memo of a process or union the screen
+    keeps, and counted afresh on any other function.
+    """
+
+    def fn(f: FinFun) -> float:
+        counts = f._counts
+        if counts is None:
+            counts = size_counts(f)
+        return float(sum(counts[window]))
+
+    return CandidateMeasure(name, fn)
 
 
 def _registry() -> dict[str, CandidateMeasure]:

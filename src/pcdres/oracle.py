@@ -72,7 +72,6 @@ witnesses are replayed by :func:`pcdres.convert.check_witness`.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -82,15 +81,14 @@ from .finset import (
     FinFun,
     FinSet,
     Relation,
+    _compact_json,
     enumerate_functions,
-    finfun_to_dict,
     is_fun_graph,
     rel_compose,
     rel_of_fun,
     rel_pad,
     rel_product,
     relation_from_dict,
-    relation_to_dict,
 )
 
 
@@ -269,12 +267,7 @@ def _morphism_key(m) -> tuple:
     return (m.dom.size, m.cod.size, m.pairs())
 
 
-def _morphism_json(m) -> str:
-    data = finfun_to_dict(m) if isinstance(m, FinFun) else relation_to_dict(m)
-    return json.dumps(data, separators=(",", ":"))
-
-
 def preorder_lines(table: frozenset[tuple[object, object]]) -> list[str]:
     """One ``<f> >= <g>`` line per table entry, in a fixed sorted order."""
     ordered = sorted(table, key=lambda fg: (_morphism_key(fg[0]), _morphism_key(fg[1])))
-    return [f"{_morphism_json(fm)} >= {_morphism_json(gm)}" for fm, gm in ordered]
+    return [f"{_compact_json(fm)} >= {_compact_json(gm)}" for fm, gm in ordered]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcdres import (
+    BUILTIN_MEASURES,
     FinFun,
     FinSet,
     FormatError,
@@ -16,6 +17,7 @@ from pcdres import (
     TheoryVariant,
     braiding,
     compose,
+    decide,
     disjoint_union,
     enumerate_all_functions,
     enumerate_bijections,
@@ -28,6 +30,8 @@ from pcdres import (
     is_bijection,
     is_fun_graph,
     is_injection,
+    monotones,
+    normal_form,
     rel_compose,
     rel_identity,
     rel_of_fun,
@@ -36,7 +40,9 @@ from pcdres import (
     relation_to_dict,
     witness,
 )
+from pcdres.finset import _set_fun_counts
 from pcdres.oracle import relx_convert
+from pcdres.profiles import size_counts
 
 
 def all_relations(max_size):
@@ -102,16 +108,16 @@ def test_morphism_reprs():
     assert repr(Relation.from_pairs(1, 2, [(0, 1)])) == "Relation([(0, 1)]: 1 -> 2)"
 
 
-@pytest.mark.parametrize(
-    "clone",
-    [
-        copy.copy,
-        copy.deepcopy,
-        lambda v: pickle.loads(pickle.dumps(v)),
-        lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
-    ],
-    ids=["copy", "deepcopy", "pickle", "pickle-0"],
-)
+CLONES = [
+    copy.copy,
+    copy.deepcopy,
+    lambda v: pickle.loads(pickle.dumps(v)),
+    lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+]
+CLONE_IDS = ["copy", "deepcopy", "pickle", "pickle-0"]
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
 def test_value_types_survive_copy_and_pickle(clone):
     f, g = FinFun.from_map([0, 0, 1], 3), FinFun.from_map([0], 2)
     r = Relation.from_pairs(2, 1, [(1, 0)])
@@ -129,6 +135,51 @@ def test_value_types_survive_copy_and_pickle(clone):
         assert type(again) is type(value)
         assert again == value and hash(again) == hash(value)
     assert clone(FinSet(3)) is FinSet(3)
+
+
+# -- the fiber-count memo -----------------------------------------------------
+
+
+def _kept_tables():
+    """The processes and unions the monotone screen keeps at size limit 3, memo filled."""
+    return monotones._kept_processes(3) + monotones._kept_unions(3)
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
+def test_a_filled_count_memo_is_invisible(clone):
+    for kept in _kept_tables()[::7]:
+        fresh = FinFun.from_map(kept.map, kept.cod.size)
+        assert kept._counts == tuple(size_counts(fresh)) and fresh._counts is None
+        assert kept == fresh and fresh == kept and hash(kept) == hash(fresh)
+        assert {fresh: 1}[kept] == 1
+        assert repr(kept) == repr(fresh)
+        assert finfun_to_dict(kept) == finfun_to_dict(fresh)
+        assert pickle.dumps(kept) == pickle.dumps(fresh)
+        again = clone(kept)
+        assert again == fresh and hash(again) == hash(fresh) and repr(again) == repr(fresh)
+        assert again._counts is None  # a copy counts afresh
+
+
+def test_count_measures_read_the_memo_as_they_would_count():
+    for kept in _kept_tables():
+        fresh = FinFun.from_map(kept.map, kept.cod.size)
+        for mu in BUILTIN_MEASURES.values():
+            assert mu(kept) == mu(fresh)
+        assert fresh._counts is None  # measuring fills nothing
+
+
+def test_decisions_neither_read_nor_fill_the_memo():
+    f, g = FinFun.from_map([0, 0, 1], 3), FinFun.from_map([0, 0], 2)
+    wrong = FinFun.from_map(f.map, f.cod.size)
+    _set_fun_counts(wrong, (0, 0, 0, 9))
+    assert size_counts(wrong) == size_counts(f)
+    for variant in (TheoryVariant.SET_BIJ, TheoryVariant.SET_INJ):
+        assert normal_form(variant, wrong) == normal_form(variant, f)
+        assert decide(variant, wrong, g) == decide(variant, f, g)
+        assert decide(variant, g, wrong) == decide(variant, g, f)
+        assert witness(variant, wrong, g) == witness(variant, f, g)
+    for h in (f, g):
+        assert h._counts is None
 
 
 def test_finfun_validation():

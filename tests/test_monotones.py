@@ -428,31 +428,54 @@ def _screens():
     return out
 
 
+KEPT_TABLES = (monotones._kept_processes, monotones._kept_unions, monotones._kept_wirings)
+
+
+def _clear_kept_tables():
+    for table in KEPT_TABLES:
+        table.cache_clear()
+
+
+def _kept_table_counts():
+    return [table.cache_info().currsize for table in KEPT_TABLES]
+
+
 def test_kept_and_streamed_unions_screen_alike(monkeypatch):
+    _clear_kept_tables()
     kept = _screens()
-    assert monotones._kept_unions.cache_info().currsize == 4
-    monotones._kept_unions.cache_clear()
+    # processes and unions per size limit 0-3, wirings per variant too
+    assert _kept_table_counts() == [4, 4, 8]
+    _clear_kept_tables()
     with monkeypatch.context() as m:
         m.setattr(monotones, "_KEPT_UNIONS", 0)
         streamed = _screens()
-    assert monotones._kept_unions.cache_info().currsize == 0
+    assert _kept_table_counts() == [0, 0, 0]
     assert streamed == kept
 
 
 def test_kept_unions_stay_bounded(monkeypatch):
-    monotones._kept_unions.cache_clear()
+    _clear_kept_tables()
     with monkeypatch.context() as m:
         m.setattr(monotones, "_KEPT_UNIONS", 3599)
-        check_measure(BIJ, BUILTIN_MEASURES["phi_2"], 3)
-    assert monotones._kept_unions.cache_info().currsize == 0
+        for variant in (BIJ, INJ):
+            check_measure(variant, BUILTIN_MEASURES["phi_2"], 3)
+    assert _kept_table_counts() == [0, 0, 0]
 
     tracemalloc.start()
     try:
-        table = monotones._kept_unions(3)
+        tables = (
+            monotones._kept_processes(3),
+            monotones._kept_unions(3),
+            monotones._kept_wirings(BIJ, 3),
+            monotones._kept_wirings(INJ, 3),
+        )
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert type(table) is tuple and len(table) == 60 * 60
+    processes, unions = tables[:2]
+    assert type(unions) is tuple and len(processes) == 60 and len(unions) == 60 * 60
+    # the counts are part of what is held
+    assert all(f._counts is not None for f in processes + unions)
     assert held < 2**20
 
 
@@ -465,9 +488,9 @@ def test_a_raising_measure_leaves_the_kept_unions_intact():
     def renders():
         return [check_measure(v, mu, 3).render() for v in (BIJ, INJ) for mu in SCREENED]
 
-    monotones._kept_unions.cache_clear()
+    _clear_kept_tables()
     with pytest.raises(ArithmeticError, match="no value on 5 points"):
         check_measure(BIJ, CandidateMeasure("explodes", explodes), 3)
     after = renders()
-    monotones._kept_unions.cache_clear()
+    _clear_kept_tables()
     assert after == renders()
