@@ -31,6 +31,7 @@ from .convert import (
 from .finset import FormatError, _compact_json, finfun_from_dict
 from .monotones import (
     BUILTIN_MEASURES,
+    MeasureRejected,
     check_complete_family,
     check_measure,
     default_family,
@@ -217,7 +218,12 @@ def _cmd_family_check(args) -> int:
         family = tuple(BUILTIN_MEASURES[name] for name in args.measure)
     else:
         family = default_family(variant)
-    report = check_complete_family(variant, family, args.size_limit)
+    try:
+        report = check_complete_family(variant, family, args.size_limit)
+    except MeasureRejected as exc:
+        # the failing member's screen carries the counterexample
+        print(f"error: {exc}\n{exc.report.render()}", file=sys.stderr)
+        return EXIT_PRECONDITION
     print(report.render())
     return EXIT_TRUE if report.passed else EXIT_FALSE
 

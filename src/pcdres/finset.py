@@ -40,8 +40,8 @@ fiber-size counts (``profiles.size_counts`` as a tuple), or ``None``.  It is
 not a dataclass field, so equality, hashing, ``repr``, pickling, copying and
 the wire format ignore it.  Every constructor sets it to ``None``, so a copy
 or an unpickled function has no memo.  Only the monotone screen fills it,
-on the processes and disjoint unions it keeps for a whole run, and only the
-built-in count measures read it.
+on the processes and disjoint unions it screens, whether it keeps them for
+a whole run or streams them, and only the built-in count measures read it.
 """
 
 from __future__ import annotations

@@ -21,12 +21,14 @@ test is phrased so that a value that is not a number fails it.  It
 evaluates ``mu`` once per enumerated process and once per disjoint union of
 two of them.  Most of the screen's work does not depend on ``mu``: the
 processes, their unions, the fiber counts the built-in measures read, and
-which process each free wiring of a process gives.  Up to size limit 3 the
-first screen builds these tables and later screens reuse them: the
-processes and unions carry their counts in ``FinFun``'s private memo slot,
-and the wirings are kept as rows of process indices, so the monotonicity
-test compares two stored values per wiring.  Above size limit 3 they are
-built one at a time, because size limit 4 already has 249,001 unions.
+which process each free wiring of a process gives.  The processes and
+unions always carry their counts in ``FinFun``'s private memo slot, and a
+union's counts are counted once per pair of its parts' counts.  Up to size
+limit 3 the first screen builds these tables and later screens reuse them,
+with the wirings kept as rows of process indices, so the monotonicity test
+compares two stored values per wiring.  Above size limit 3 each screen
+builds its own, the unions and wirings one at a time, because size limit 4
+already has 249,001 unions.
 :func:`induce_monotone` packages a passing measure as a function of normal
 forms; :func:`check_complete_family` tests whether a family of passing
 measures jointly characterizes convertibility.
@@ -62,7 +64,11 @@ TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class CandidateMeasure:
-    """A named real-valued function on processes."""
+    """A named real-valued function on processes.
+
+    The screens and the family check call ``fn`` directly, once per value;
+    calling the measure itself is for other callers.
+    """
 
     name: str
     fn: Callable[[FinFun], float]
@@ -140,8 +146,7 @@ def _keeps_tables(size_limit: int) -> bool:
     return processes * processes <= _KEPT_UNIONS
 
 
-@functools.lru_cache(maxsize=None)
-def _kept_processes(size_limit: int) -> tuple[FinFun, ...]:
+def _processes(size_limit: int) -> tuple[FinFun, ...]:
     """The processes up to ``size_limit`` in enumeration order, with their counts."""
     funs = tuple(enumerate_all_functions(size_limit))
     for f in funs:
@@ -149,23 +154,38 @@ def _kept_processes(size_limit: int) -> tuple[FinFun, ...]:
     return funs
 
 
-@functools.lru_cache(maxsize=None)
-def _kept_unions(size_limit: int) -> tuple[FinFun, ...]:
-    """``f + g`` for each ordered pair of processes up to ``size_limit``, in product order.
+# the processes kept for the run where :func:`_keeps_tables` holds
+_kept_processes = functools.lru_cache(maxsize=None)(_processes)
+
+
+def _screened_processes(size_limit: int) -> tuple[FinFun, ...]:
+    """The processes every screen and family check reads: kept up to size limit 3."""
+    if _keeps_tables(size_limit):
+        return _kept_processes(size_limit)
+    return _processes(size_limit)
+
+
+def _unions(funs: tuple[FinFun, ...]) -> Iterator[FinFun]:
+    """``f + g`` for each ordered pair of ``funs``, in product order, with its counts.
 
     The counts of ``f + g`` depend only on those of ``f`` and ``g``, so each
     pair of those is counted once and its unions share the tuple.
     """
     counted: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-    unions = []
-    for f, g in itertools.product(_kept_processes(size_limit), repeat=2):
+    for f, g in itertools.product(funs, repeat=2):
         union = disjoint_union(f, g)
         key = f._counts, g._counts
-        if key not in counted:
-            counted[key] = tuple(size_counts(union))
-        _set_fun_counts(union, counted[key])
-        unions.append(union)
-    return tuple(unions)
+        counts = counted.get(key)
+        if counts is None:
+            counts = counted[key] = tuple(size_counts(union))
+        _set_fun_counts(union, counts)
+        yield union
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_unions(size_limit: int) -> tuple[FinFun, ...]:
+    """The :func:`_unions` of the kept processes up to ``size_limit``."""
+    return tuple(_unions(_kept_processes(size_limit)))
 
 
 # (i, xi, k, side): the free wiring xi of process i gives process k
@@ -196,14 +216,14 @@ def _kept_wirings(variant: TheoryVariant, size_limit: int) -> tuple[_Wiring, ...
 
 
 def _check_additivity(
-    mu: CandidateMeasure,
+    fn: Callable[[FinFun], float],
     funs: tuple[FinFun, ...],
     values: list[float],
     unions: Iterable[FinFun],
     tolerance: float,
 ) -> ConditionResult:
     sums = itertools.starmap(operator.add, itertools.product(values, repeat=2))
-    for k, (lhs, rhs) in enumerate(zip(map(mu, unions), sums)):
+    for k, (lhs, rhs) in enumerate(zip(map(fn, unions), sums)):
         if not abs(lhs - rhs) <= tolerance:
             i, j = divmod(k, len(funs))
             return ConditionResult(
@@ -260,27 +280,27 @@ def check_measure(
     ``mu`` is evaluated once per enumerated process and once per disjoint
     union of two.  Identities and free wirings of enumerated processes stay
     within the size limit, so the other conditions look their values up.
-    What does not depend on ``mu`` is built once per size limit, and once
-    per variant for the wirings, and kept for the rest of the run at size
-    limits up to 3: the processes and their unions, each with its fiber
-    counts memoized for the built-in count measures, and each free wiring
-    as a row of process indices.  Above that each screen builds them one
-    at a time.
+    The processes and their unions carry their fiber counts, memoized for
+    the built-in count measures.  What does not depend on ``mu`` is built
+    once per size limit, and once per variant for the wirings, and kept for
+    the rest of the run at size limits up to 3: the processes, their unions
+    and each free wiring as a row of process indices.  Above that each
+    screen builds them one at a time, and the streamed unions carry their
+    counts too.
     """
+    funs = _screened_processes(size_limit)
     if _keeps_tables(size_limit):
-        funs = _kept_processes(size_limit)
         unions = _kept_unions(size_limit)
         wirings = _kept_wirings(variant, size_limit)
     else:
-        funs = tuple(enumerate_all_functions(size_limit))
-        unions = itertools.starmap(disjoint_union, itertools.product(funs, repeat=2))
+        unions = _unions(funs)
         wirings = _free_wirings(variant, funs, size_limit)
-    values = list(map(mu, funs))
+    values = list(map(mu.fn, funs))
     return CheckReport(
         measure=mu.name,
         variant=variant,
         size_limit=size_limit,
-        additivity=_check_additivity(mu, funs, values, unions, tolerance),
+        additivity=_check_additivity(mu.fn, funs, values, unions, tolerance),
         unit=_check_unit(dict(zip(funs, values)), size_limit, tolerance),
         monotonicity=_check_monotonicity(funs, values, wirings, tolerance),
         nonnegativity=_check_nonnegativity(funs, values, tolerance),
@@ -314,9 +334,9 @@ def induce_monotone(
     if not report.passed:
         raise MeasureRejected(f"measure {mu.name} fails screening", report)
     classes: dict[Profile, tuple[FinFun, float]] = {}
-    for f in enumerate_all_functions(size_limit):
+    for f in _screened_processes(size_limit):
         form = normal_form(variant, f)
-        value = mu(f)
+        value = mu.fn(f)
         if form in classes:
             first, base = classes[form]
             if abs(value - base) > tolerance:
@@ -374,18 +394,19 @@ def check_complete_family(
                 f"family member {mu.name} fails screening", report
             )
     names = tuple(mu.name for mu in measures)
-    funs = list(enumerate_all_functions(size_limit))
+    funs = _screened_processes(size_limit)
     forms = [_dense_form(variant, f) for f in funs]
-    values = [tuple(mu(f) for mu in measures) for f in funs]
-    rows = list(zip(funs, forms, values))
-    for (f, ff, vf), (g, fg, vg) in itertools.product(rows, repeat=2):
-        dominates = all(a >= b - tolerance for a, b in zip(vf, vg))
+    values = [tuple(mu.fn(f) for mu in measures) for f in funs]
+    floors = [tuple(b - tolerance for b in vf) for vf in values]
+    rows = list(zip(funs, forms, values, floors))
+    for (f, ff, vf, _), (g, fg, _, lg) in itertools.product(rows, repeat=2):
+        dominates = all(map(operator.ge, vf, lg))
         if _dominates(ff, fg) == dominates:
             continue
         if dominates:
             note = "all measures dominate but f does not convert to g"
         else:
-            drop = next(name for name, a, b in zip(names, vf, vg) if not a >= b - tolerance)
+            drop = next(name for name, a, b in zip(names, vf, lg) if not a >= b)
             note = f"{drop} decreases along a conversion"
         return FamilyReport(variant, size_limit, names, False, (f, g), note)
     return FamilyReport(variant, size_limit, names, True)

@@ -201,12 +201,17 @@ def test_family_check(capsys):
     )
     assert code == 1
     assert "FAIL" in out
-    code, _, err = run(
+    code, out, err = run(
         capsys, "family-check", "--variant", "set-bij", "--size-limit", "2",
         "--measure", "phi_1",
     )
-    assert code == 65
-    assert "fails screening" in err
+    assert (code, out) == (65, "")
+    # the error line, then the failing member's screen with its counterexample
+    assert err.splitlines()[:2] == [
+        "error: family member phi_1 fails screening",
+        "measure phi_1 [set-bij] size limit 2: FAIL",
+    ]
+    assert f"  unit: FAIL mu = 1.0 on the identity of size 1 [{POINT}]\n" in err
 
 
 def test_usage_errors_exit_64(capsys):

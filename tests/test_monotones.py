@@ -479,6 +479,31 @@ def test_kept_unions_stay_bounded(monkeypatch):
     assert held < 2**20
 
 
+def test_streamed_unions_count_fibers_once_per_pair_of_part_counts(monkeypatch):
+    size_counts = monotones.size_counts
+    counted = []
+
+    def counting(f):
+        counted.append(f)
+        return size_counts(f)
+
+    shapes = {tuple(size_counts(f)) for f in enumerate_all_functions(3)}
+    _clear_kept_tables()
+    monkeypatch.setattr(monotones, "_KEPT_UNIONS", 0)
+    monkeypatch.setattr(monotones, "size_counts", counting)
+    for variant in (BIJ, INJ):
+        counted.clear()
+        assert check_measure(variant, BUILTIN_MEASURES["phi_2"], 3).additivity.passed
+        # once per process, then once per pair of part counts, not per union
+        assert len(counted) == 60 + len(shapes) ** 2 < 60 + 60 * 60
+    assert _kept_table_counts() == [0, 0, 0]
+
+    funs = monotones._processes(3)
+    unions = list(monotones._unions(funs))
+    assert unions == list(itertools.starmap(disjoint_union, itertools.product(funs, repeat=2)))
+    assert all(u._counts == tuple(size_counts(u)) for u in unions)
+
+
 def test_a_raising_measure_leaves_the_kept_unions_intact():
     def explodes(f):
         if f.dom.size == 5:
