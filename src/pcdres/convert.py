@@ -519,35 +519,78 @@ def representative(variant: TheoryVariant, form: Profile) -> FinFun:
     return realize_profile(Profile(multiplicities))
 
 
-def _wiring(F: FinFun, G: FinFun, descending: bool) -> tuple[FinFun, FinFun]:
+def _wiring(
+    F: FinFun, G: FinFun, F_sizes: list[int], G_sizes: list[int], descending: bool
+) -> tuple[FinFun, FinFun]:
     """``(xi1, xi2)`` with ``xi2 . F . xi1 = G``, matching fibers by size.
 
-    ``F = f + 1_Z`` and ``G = g + j`` are the padded pair, whose fibers have
-    the same sizes in some order.  ``xi2`` pairs the codomain points of ``F``
-    and ``G`` in order of fiber size, and ``xi1`` sends each input of ``G`` to
-    the least unused input of ``F`` in the partner fiber.  The sorts are
-    stable, so ties go to the lowest index.
+    ``F = f + 1_Z`` and ``G = g + j`` are the padded pair, and ``F_sizes``
+    and ``G_sizes`` their fiber sizes, emptied once sorted to keep peak
+    memory down: pass copies to keep them.  ``xi2`` pairs the codomain
+    points of ``F`` and ``G`` in order of fiber size; the sorts are stable,
+    so ties go to the lowest index.  ``xi1`` sends each input of ``G``, in
+    order, to the least unused input of ``F`` in the partner fiber.
+
+    ``F``'s fibers are walked as chains of inputs: one reverse pass over
+    ``F.map`` sets ``head[y]``, the least input of fiber ``y``, and
+    ``after[x]``, the next input of ``x``'s fiber (-1 after the last).  Each
+    fiber of ``G`` keeps a cursor into its partner's chain, starting at the
+    head; an input takes the cursor's point and moves the cursor one link
+    on.  That is one lookup and one store per input.  Grouping ``dom(F)``
+    by a sort instead costs ``log`` comparisons and a sort key per input,
+    and a slot counter bumped once per input, a new ``int`` each time.
+
+    No cursor runs past the end of its chain, because every fiber of ``G``
+    is paired with a fiber of ``F`` at least as large.  Both lists are
+    sorted the same way and ``decide`` holds.  Under set-bij the two
+    multiplicity profiles are equal, so paired fibers have one size.  Under
+    set-inj ``F``'s tail counts dominate ``G``'s at every index: at 0 the
+    codomains have one size, at 1 ``Z`` makes up any shortfall in hit
+    points, and from 2 on ``decide`` says so.  So the k-th largest fiber of
+    ``F`` is at least the k-th largest of ``G``.
     """
-    F_sizes, G_sizes = fiber_sizes(F), fiber_sizes(G)
     f_order = sorted(range(F.cod.size), key=F_sizes.__getitem__, reverse=descending)
     g_order = sorted(range(G.cod.size), key=G_sizes.__getitem__, reverse=descending)
-    start = list(itertools.accumulate(F_sizes, initial=0))  # fiber y's first slot in by_fiber
+    F_sizes.clear()
+    G_sizes.clear()
+    head = [-1] * F.cod.size
+    after = [-1] * F.dom.size
+    for x, y in zip(range(F.dom.size - 1, -1, -1), reversed(F.map)):
+        after[x] = head[y]
+        head[y] = x
     xi2_map = [0] * F.cod.size
-    next_free = [0] * G.cod.size  # the next unused slot of b's partner fiber
+    cursor = [0] * G.cod.size  # the next input of b's partner fiber
     for y, b in zip(f_order, g_order):
         xi2_map[y] = b
-        next_free[b] = start[y]
-    # freed before the domain sort, to keep peak memory down
-    del F_sizes, G_sizes, f_order, g_order, start
-    # F's inputs grouped by fiber, ascending within each
-    by_fiber = sorted(range(F.dom.size), key=F.map.__getitem__)
+        cursor[b] = head[y]
+    del f_order, g_order, head  # freed before the xi1 walk, to keep peak memory down
     xi1_map = []
     for b in G.map:
-        xi1_map.append(by_fiber[next_free[b]])
-        next_free[b] += 1
+        x = cursor[b]
+        xi1_map.append(x)
+        cursor[b] = after[x]
     xi1 = FinFun._trusted(G.dom, F.dom, tuple(xi1_map))
     xi2 = FinFun._trusted(F.cod, G.cod, tuple(xi2_map))
     return xi1, xi2
+
+
+def _sizes_and_counts(f: FinFun) -> tuple[list[int] | None, list[int]]:
+    """``f``'s fiber sizes and its :func:`size_counts`, from one pass over ``f.map``.
+
+    A codomain more than twice the domain is counted sparsely and its sizes
+    come back ``None``, so a request that fails the decision costs memory in
+    the domain only.  The dense count repeats the last lines of
+    :func:`size_counts` rather than moving them into a helper both call:
+    ``decide`` counts maps of a few points, and one more call per count
+    made the decide-sweep benchmark's median op 3-5 % slower.
+    """
+    if f.cod.size > 2 * f.dom.size:
+        return None, size_counts(f)
+    sizes = fiber_sizes(f)
+    counts = [0] * (max(sizes, default=-1) + 1)
+    for size in sizes:
+        counts[size] += 1
+    return sizes, counts
 
 
 def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
@@ -557,12 +600,13 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
     ``f`` over ``g`` and ``Z`` supplies any missing singleton fibers.  With
     injections free, ``j`` is output-only: ``Z`` and ``cod(j)`` pad the two
     codomains to a common size and ``xi2`` matches fibers largest-first so
-    every fiber of ``g`` fits inside its donor.  The fiber counts are taken
-    once, for the decision and the padding; only once the decision holds
-    does :func:`_wiring` list the fiber sizes of ``F = f + 1_Z`` and
-    ``G = g + j``, built with the theory's ``pad`` and ``tensor``.
+    every fiber of ``g`` fits inside its donor.  Each side's fibers are
+    counted once: the sizes found for the decision are padded with those
+    of ``1_Z`` and ``j`` for :func:`_wiring`, which wires ``F = f + 1_Z``
+    to ``G = g + j``, built with the theory's ``pad`` and ``tensor``.  A
+    sparsely counted side lists its sizes only once the decision holds.
     """
-    f_counts, g_counts = size_counts(f), size_counts(g)
+    (f_sizes, f_counts), (g_sizes, g_counts) = _sizes_and_counts(f), _sizes_and_counts(g)
     if not _dominates(_form(variant, f_counts.copy()), _form(variant, g_counts.copy())):
         raise NotConvertibleError(
             f"f ({f.dom.size} -> {f.cod.size}) does not convert to "
@@ -579,7 +623,15 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
         hit_f, hit_g = sum(f_counts[1:]), sum(g_counts[1:])
         z = FinSet(max(0, g.cod.size - f.cod.size, hit_g - hit_f))
         j = FinFun._trusted(FinSet(0), FinSet(f.cod.size + z.size - g.cod.size), ())
-    xi1, xi2 = _wiring(variant.pad(f, z), variant.tensor(g, j), variant is TheoryVariant.SET_INJ)
+    if f_sizes is None:
+        f_sizes = fiber_sizes(f)
+    if g_sizes is None:
+        g_sizes = fiber_sizes(g)
+    f_sizes += [1] * z.size
+    g_sizes += fiber_sizes(j)
+    xi1, xi2 = _wiring(
+        variant.pad(f, z), variant.tensor(g, j), f_sizes, g_sizes, variant is TheoryVariant.SET_INJ
+    )
     return Witness(z, xi1, xi2, j)
 
 

@@ -50,6 +50,7 @@ import itertools
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class FormatError(ValueError):
@@ -193,12 +194,25 @@ def identity(x: FinSet | int) -> FinFun:
 
 
 def compose(late: FinFun, early: FinFun) -> FinFun:
-    """The composite ``late . early`` (apply ``early`` first)."""
+    """The composite ``late . early`` (apply ``early`` first).
+
+    The entries are gathered by one ``itemgetter`` call, which looks up
+    every point in C; a per-point ``late.map.__getitem__`` costs a Python
+    call each, several times as much on large maps and on the oracle's
+    small ones alike.  ``itemgetter`` needs two or more points to return
+    a tuple: with one it returns the bare entry and with none it cannot be
+    built, so those two maps take a plain path.
+    """
     if early.cod.size != late.dom.size:
         raise ValueError(
             f"cannot compose: codomain {early.cod.size} does not match domain {late.dom.size}"
         )
-    return FinFun._trusted(early.dom, late.cod, tuple(map(late.map.__getitem__, early.map)))
+    entries = early.map
+    if len(entries) > 1:
+        entries = itemgetter(*entries)(late.map)
+    elif entries:
+        entries = (late.map[entries[0]],)
+    return FinFun._trusted(early.dom, late.cod, entries)
 
 
 def disjoint_union(f: FinFun, g: FinFun) -> FinFun:
@@ -207,7 +221,7 @@ def disjoint_union(f: FinFun, g: FinFun) -> FinFun:
     return FinFun._trusted(
         FinSet(f.dom.size + g.dom.size),
         FinSet(f.cod.size + g.cod.size),
-        f.map + tuple(map(shift.__add__, g.map)),
+        f.map + tuple([y + shift for y in g.map]),
     )
 
 

@@ -1,5 +1,8 @@
 """Decision procedure, normal forms, and constructive witnesses."""
 
+import hashlib
+import json
+import random
 from collections import Counter
 
 import pytest
@@ -123,11 +126,11 @@ def test_decide_matches_profile_dominance(f, g):
 
 
 def test_decide_and_witness_count_fibers_once_per_side(monkeypatch):
-    calls = Counter()
+    calls = []
 
     def counted(name, fn):
         def wrapper(f):
-            calls[name] += 1
+            calls.append((name, f.dom.size, f.cod.size))
             return fn(f)
 
         return wrapper
@@ -136,18 +139,36 @@ def test_decide_and_witness_count_fibers_once_per_side(monkeypatch):
     monkeypatch.setattr(convert, "fiber_sizes", counted("fiber_sizes", convert.fiber_sizes))
     f = FinFun.from_map([0, 0, 1, 2], 4)
     g = FinFun.from_map([0, 1], 3)
+    sparse = FinFun.from_map([0, 0, 1, 2], 9)  # cod > 2 * dom: counted from its hit points
     for variant in (BIJ, INJ):
         calls.clear()
         assert decide(variant, f, g)
-        assert calls == {"size_counts": 2}
+        assert calls == [("size_counts", 4, 4), ("size_counts", 2, 3)]
         calls.clear()
-        witness(variant, f, g)
-        # the padding reads the decision's counts; fiber sizes of F = f + 1_Z and G = g + j
-        assert calls == {"size_counts": 2, "fiber_sizes": 2}
+        j = witness(variant, f, g).j
+        # one pass per side serves the decision and the wiring; then the small junk j
+        assert calls == [
+            ("fiber_sizes", 4, 4),
+            ("fiber_sizes", 2, 3),
+            ("fiber_sizes", j.dom.size, j.cod.size),
+        ]
         calls.clear()
         with pytest.raises(NotConvertibleError):
             witness(variant, g, f)
-        assert calls == {"size_counts": 2}
+        assert calls == [("fiber_sizes", 2, 3), ("fiber_sizes", 4, 4)]
+        calls.clear()
+        j = witness(variant, sparse, g).j
+        # the sparse side lists its fiber sizes only once the decision holds
+        assert calls == [
+            ("size_counts", 4, 9),
+            ("fiber_sizes", 2, 3),
+            ("fiber_sizes", 4, 9),
+            ("fiber_sizes", j.dom.size, j.cod.size),
+        ]
+        calls.clear()
+        with pytest.raises(NotConvertibleError):
+            witness(variant, g, sparse)
+        assert calls == [("fiber_sizes", 2, 3), ("size_counts", 4, 9)]
 
 
 def test_bij_conversion_implies_inj_conversion():
@@ -457,6 +478,41 @@ def test_witness_matches_counting_sort_reference(pair):
     for variant in (BIJ, INJ):
         if decide(variant, f, g):
             assert witness(variant, f, g) == _counting_sort_witness(variant, f, g)
+
+
+def _surplus_pair(seed, n):
+    """``g`` random on ``n`` points; ``f`` is ``g`` plus a surplus block, conjugated.
+
+    The surplus block maps ``n // 4`` inputs at random onto as many fresh
+    outputs; random bijections then relabel ``f``'s domain and codomain.
+    """
+    rng = random.Random(seed)
+    s = n // 4
+    gmap = [rng.randrange(n) for _ in range(n)]
+    joined = gmap + [n + rng.randrange(s) for _ in range(s)]
+    into, out = list(range(n + s)), list(range(n + s))
+    rng.shuffle(into)
+    rng.shuffle(out)
+    fmap = [0] * (n + s)
+    for x, y in enumerate(joined):
+        fmap[into[x]] = out[y]
+    return FinFun.from_map(fmap, n + s), FinFun.from_map(gmap, n)
+
+
+@pytest.mark.parametrize(
+    "variant, digest",
+    [
+        (BIJ, "3e3f11f9e336d1ef0816cae52b0e6ab5e029be52b31a75546741965bd62f530b"),
+        (INJ, "ac11cdb0876b29112d9d05834ebac363710321e7a7c50fbe57d2734787e60569"),
+    ],
+)
+def test_witness_bytes_are_pinned_at_scale(variant, digest):
+    # a change of wiring order that still replays would change these bytes
+    f, g = _surplus_pair(20, 2000)
+    w = witness(variant, f, g)
+    assert check_witness(variant, f, g, w)
+    encoded = json.dumps(witness_to_dict(w), separators=(",", ":")).encode()
+    assert hashlib.sha256(encoded).hexdigest() == digest
 
 
 def _swap(m, a, b):

@@ -1,6 +1,7 @@
 """Category and enumeration layer: functions, relations, monoidal wiring."""
 
 import copy
+import itertools
 import math
 import pickle
 from dataclasses import FrozenInstanceError
@@ -46,8 +47,6 @@ from pcdres.profiles import size_counts
 
 
 def all_relations(max_size):
-    import itertools
-
     for d in range(max_size + 1):
         for c in range(max_size + 1):
             for bits in itertools.product((False, True), repeat=d * c):
@@ -204,6 +203,40 @@ def test_identity_and_compose():
         compose(f, g)  # cod 1 does not meet dom 2
 
 
+@pytest.mark.parametrize("early_map", [[], [2], [2, 0], [1, 1, 1], [0, 2, 1, 2]])
+def test_compose_gathers_a_tuple_at_every_domain_size(early_map):
+    # a gather of one point must not come back as a bare entry, nor one of none fail
+    late = FinFun.from_map([4, 0, 3], 5)
+    early = FinFun.from_map(early_map, 3)
+    h = compose(late, early)
+    assert type(h.map) is tuple and len(h.map) == len(early.map)
+    assert h.map == tuple(late.map[i] for i in early.map)
+    assert (h.dom, h.cod) == (early.dom, late.cod)
+    assert compose(FinFun.from_map([], 2), FinFun.from_map([], 0)) == FinFun.from_map([], 2)
+
+
+@st.composite
+def maps_into(draw, cod):
+    """A function of up to 8 points into ``cod`` points; only the empty map when ``cod`` is 0."""
+    dom = draw(st.integers(0, 8 if cod else 0))
+    entries = draw(st.lists(st.integers(0, max(cod - 1, 0)), min_size=dom, max_size=dom))
+    return FinFun.from_map(entries, cod)
+
+
+@st.composite
+def composable_pairs(draw):
+    late = draw(st.integers(0, 6).flatmap(maps_into))
+    return late, draw(maps_into(late.dom.size))
+
+
+@given(composable_pairs())
+def test_compose_matches_pointwise_lookup(pair):
+    late, early = pair
+    h = compose(late, early)
+    assert type(h.map) is tuple and len(h.map) == len(early.map)
+    assert h.map == tuple(late.map[i] for i in early.map)
+
+
 def test_compose_associative_exhaustive():
     sets = range(3)
     for a in sets:
@@ -225,6 +258,28 @@ def test_disjoint_union_blocks():
     # left block keeps its indices, right block shifts by f's sizes
     assert fg == FinFun(FinSet(4), FinSet(3), (0, 0, 2, 1))
     assert disjoint_union(identity(2), identity(3)) == identity(5)
+
+
+def test_disjoint_union_with_empty_blocks():
+    nothing = FinFun.from_map([], 0)
+    unhit = FinFun.from_map([], 2)  # no inputs, two outputs
+    f = FinFun.from_map([1, 0, 1], 2)
+    assert disjoint_union(nothing, f) == f
+    assert disjoint_union(f, nothing) == f
+    assert disjoint_union(nothing, nothing) == nothing
+    assert disjoint_union(unhit, f) == FinFun.from_map([3, 2, 3], 4)
+    assert disjoint_union(f, unhit) == FinFun.from_map([1, 0, 1], 4)
+    assert disjoint_union(unhit, nothing) == unhit
+    for left, right in itertools.product((nothing, unhit, f), repeat=2):
+        assert type(disjoint_union(left, right).map) is tuple
+
+
+@given(st.integers(0, 6).flatmap(maps_into), st.integers(0, 6).flatmap(maps_into))
+def test_disjoint_union_matches_shifted_concatenation(f, g):
+    fg = disjoint_union(f, g)
+    assert type(fg.map) is tuple
+    assert fg.map == f.map + tuple(y + f.cod.size for y in g.map)
+    assert (fg.dom.size, fg.cod.size) == (f.dom.size + g.dom.size, f.cod.size + g.cod.size)
 
 
 def test_disjoint_union_is_functorial():
