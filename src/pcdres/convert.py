@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,7 +49,6 @@ from .finset import (
     is_bijection,
     is_injection,
     reject_unknown_fields,
-    relation_from_dict,
     relation_to_dict,
 )
 from .profiles import Profile, fiber_sizes, realize_profile, size_counts
@@ -68,8 +67,8 @@ class TheoryInstance:
     The oracle's search scans the ``(Z, C)`` sizes that ``levels`` yields
     and takes its wirings ``xi1`` from ``xi1_candidates``: every level and
     every free morphism by default.  The set theories narrow that to the
-    levels where free wirings exist and to one wiring per orbit of the
-    equation's symmetries.
+    levels where free wirings exist and to the wirings that solve, one per
+    orbit of the equation's symmetries.
     """
 
     name: str
@@ -103,13 +102,15 @@ class TheoryInstance:
         """
         return itertools.product(range(bounds.max_z + 1), range(bounds.max_c + 1))
 
-    def xi1_candidates(self, f, z: FinSet, a: FinSet, c: FinSet):
-        """The wirings ``xi1 : A (x) C -> dom(f) (x) Z`` the search tries, in scan order.
+    def xi1_candidates(self, f, z: FinSet, g, c: FinSet, max_d: int):
+        """The wirings ``xi1 : dom(g) (x) C -> dom(f) (x) Z`` that can solve, in scan order.
 
-        Default: every free morphism.  A theory may leave out candidates
-        that cannot change the first witness the search returns.
+        Default: every free morphism.  A theory may leave out a wiring for
+        which ``solve_discard(m, g, C, max_d)`` fails, and a solvable wiring
+        whose orbit under the equation's symmetries holds an earlier one it
+        keeps; either way the first witness the search returns is unchanged.
         """
-        return self.free_morphisms(self.obj_tensor(a, c), self.obj_tensor(f.dom, z))
+        return self.free_morphisms(self.obj_tensor(g.dom, c), self.obj_tensor(f.dom, z))
 
     def is_free(self, m) -> bool:
         raise NotImplementedError
@@ -214,22 +215,45 @@ class TheoryVariant(TheoryInstance, enum.Enum):
                 yield z, room
 
     def xi1_candidates(
-        self, f: FinFun, z: FinSet, a: FinSet, c: FinSet
-    ) -> tuple[FinFun, ...] | Iterator[FinFun]:
-        """The free ``xi1`` least in their orbit under the equation's symmetries.
+        self, f: FinFun, z: FinSet, g: FinFun, c: FinSet, max_d: int
+    ) -> Iterable[FinFun]:
+        """The free ``xi1`` least in their orbit that solve, in scan order.
 
-        The symmetries and the proof that the first witness is unchanged are
-        in the :mod:`pcdres.oracle` docstring.  A tuple built once per shape,
-        or a stream for a shape with more than ``_KEPT_XI1`` of them; both
-        in the same order.  A shape with no free map gives no candidate.
+        The symmetries, the filter and the proof that the first witness is
+        unchanged are in the :mod:`pcdres.oracle` docstring.  A shape's
+        wirings are filed once in :func:`_xi1_index`, or streamed and
+        filtered by the same test for a shape with more than ``_KEPT_XI1``
+        of them.  A shape with no free map gives no candidate.
         """
-        n, size = f.dom.size + z.size, a.size + c.size
+        a = g.dom.size
+        n, size = f.dom.size + z.size, a + c.size
         if size > n or (self is TheoryVariant.SET_BIJ and size != n):
             return ()  # no free map of this shape
+        want = _map_pattern(g.map)
         try:
-            return _canonical_xi1(_fiber_classes(f.map), z.size, a.size, c.size)
+            filed = _xi1_index(_fiber_classes(f.map), z.size, a, c.size).get(want)
         except _Unkept as unkept:
-            return unkept.scan
+            limit = self._junk_limit(f.cod.size + z.size - g.cod.size, max_d)
+            return (x for p, junk, x in unkept.filed if p == want and junk <= limit)
+        if filed is None:
+            return ()  # no wiring of this shape meets g's pattern
+        top, wirings, junks = filed
+        limit = self._junk_limit(f.cod.size + z.size - g.cod.size, max_d)
+        if top <= limit:
+            return wirings
+        return itertools.compress(wirings, [junk <= limit for junk in junks])
+
+    def _junk_limit(self, spare: int, max_d: int) -> int:
+        """The most junk fibers a solvable wiring may hit, or -1 if none solves.
+
+        ``spare = cod(m) - cod(g)``.  A free ``xi2`` needs ``D >= spare``
+        (equality under set-bij) and ``D`` junk slots for the junk block's
+        fibers, so the least ``D`` is ``max(spare, junk, 0)``; it must
+        not pass ``max_d``, and under set-bij it must equal ``spare``.
+        """
+        if self is TheoryVariant.SET_BIJ:
+            return spare if 0 <= spare <= max_d else -1
+        return max_d if spare <= max_d else -1
 
     def is_free(self, f: FinFun) -> bool:
         return is_bijection(f) if self is TheoryVariant.SET_BIJ else is_injection(f)
@@ -254,7 +278,7 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         set-bij.  A forced point takes its image, a ``must_d`` point the next
         slot of the junk pool ``cod(g) .. cod(g) + D - 1``, any other point
         the next unforced ``cod(g)`` value and, once those run out, the next
-        junk slot.
+        junk slot.  :meth:`_junk_limit` states the rule on ``D``.
 
         - The pools never run dry: the junk pool serves only ``must_d`` while
           unforced ``cod(g)`` values last, and ``cod(m) - cod(g)`` points in
@@ -275,9 +299,9 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         if len(taken) != len(forced) or not forced.keys().isdisjoint(m.map[n_a:]):
             return None
         must_d = set(m.map[n_a:])
-        d = max(n_mid - n_b, len(must_d), 0)
-        if d > max_d or (self is TheoryVariant.SET_BIJ and d != n_mid - n_b):
+        if len(must_d) > self._junk_limit(n_mid - n_b, max_d):
             return None
+        d = max(n_mid - n_b, len(must_d), 0)
         junk = iter(range(n_b, n_b + d))
         free = itertools.chain([v for v in range(n_b) if v not in taken], junk)
         xi2_map = [
@@ -304,30 +328,71 @@ def _fiber_classes(fmap: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-1 if sizes[y] == 1 else rank.setdefault(y, len(rank)) for y in fmap)
 
 
-# The most wirings the cache keeps for one shape; larger shapes stream.
+# The most wirings the index files for one shape; larger shapes stream.
 # Six 2-fibers at ``Z = C = 0`` have 10,395.
 _KEPT_XI1 = 1 << 14
 
 
-class _Unkept(Exception):
-    """Raised by :func:`_canonical_xi1` for a shape it does not keep, so nothing is cached.
+def _first_use(seq) -> tuple[int, ...]:
+    """Each entry's rank of first use, so ``(5, 3, 5)`` gives ``(0, 1, 0)``."""
+    rank: dict[int, int] = {}
+    return tuple([rank.setdefault(y, len(rank)) for y in seq])
 
-    ``scan`` streams all of the shape's wirings, in order.
+
+# ``_first_use(g.map)``, which every level of one search asks for
+_map_pattern = lru_cache(maxsize=1024)(_first_use)
+
+
+class _Unkept(Exception):
+    """Raised by :func:`_xi1_index` for a shape it does not keep, so nothing is cached.
+
+    ``filed`` streams :func:`_filed` over all of the shape's wirings, in order.
     """
 
-    def __init__(self, scan: Iterator[FinFun]) -> None:
+    def __init__(self, filed: Iterator[tuple[tuple[int, ...], int, FinFun]]) -> None:
         super().__init__()
-        self.scan = scan
+        self.filed = filed
 
 
 @lru_cache(maxsize=None)
-def _canonical_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> tuple[FinFun, ...]:
-    """:func:`_scan_xi1` as a tuple; :class:`_Unkept` past ``_KEPT_XI1`` maps."""
+def _xi1_index(
+    classes: tuple[int, ...], z: int, a: int, c: int
+) -> dict[tuple[int, ...], tuple[int, tuple[FinFun, ...], tuple[int, ...]]]:
+    """The wirings of :func:`_scan_xi1` that can solve, filed by the fibers their g-block hits.
+
+    Keyed by the pattern :func:`_filed` gives.  Each entry holds the
+    wirings in scan order, their counts of junk fibers, and the largest
+    count first, so a search whose rule on ``D`` admits that one takes the
+    wirings as they are.  :class:`_Unkept` past ``_KEPT_XI1`` wirings.
+    """
     scan = _scan_xi1(classes, z, a, c)
     kept = tuple(itertools.islice(scan, _KEPT_XI1 + 1))
+    n = len(classes)
+    fibers = tuple(k if k >= 0 else n + x for x, k in enumerate(classes + (-1,) * z))
     if len(kept) > _KEPT_XI1:
-        raise _Unkept(itertools.chain(kept, scan))
-    return kept
+        raise _Unkept(_filed(itertools.chain(kept, scan), fibers, a))
+    index: dict[tuple[int, ...], tuple[list[FinFun], list[int]]] = {}
+    for pattern, junk, xi1 in _filed(kept, fibers, a):
+        wirings, junks = index.setdefault(pattern, ([], []))
+        wirings.append(xi1)
+        junks.append(junk)
+    return {p: (max(junks), tuple(ws), tuple(junks)) for p, (ws, junks) in index.items()}
+
+
+def _filed(
+    scan: Iterator[FinFun], fibers: tuple[int, ...], a: int
+) -> Iterator[tuple[tuple[int, ...], int, FinFun]]:
+    """``(pattern, junk, xi1)`` for each wiring of ``scan`` whose two blocks hit disjoint fibers.
+
+    ``fibers[x]`` names the fiber of ``f + 1_Z`` that holds ``x``; the
+    pattern is :func:`_first_use` of the fibers the first ``a`` images hit,
+    and ``junk`` counts the fibers the rest hit.
+    """
+    for xi1 in scan:
+        hit = [fibers[x] for x in xi1.map]
+        junk = set(hit[a:])
+        if junk.isdisjoint(hit[:a]):
+            yield _first_use(hit[:a]), len(junk), xi1
 
 
 def _scan_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> Iterator[FinFun]:
@@ -671,7 +736,13 @@ def witness_to_dict(w: Witness) -> dict:
     }
 
 
-def witness_from_dict(data: object, relational: bool = False) -> Witness:
+def witness_from_dict(data: object) -> Witness:
+    """A set-theory witness; ``RelTimesTheory.witness_from_dict`` decodes relations."""
+    return _witness_from_dict(data, finfun_from_dict)
+
+
+def _witness_from_dict(data: object, decode) -> Witness:
+    """The witness fields of ``data``, each morphism read by ``decode``."""
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object with fields 'Z', 'xi1', 'xi2', 'j'")
     reject_unknown_fields(data, ("Z", "xi1", "xi2", "j"))
@@ -681,7 +752,6 @@ def witness_from_dict(data: object, relational: bool = False) -> Witness:
     z = data["Z"]
     if not isinstance(z, int) or isinstance(z, bool) or z < 0:
         raise FormatError("field 'Z' must be a non-negative integer")
-    decode = relation_from_dict if relational else finfun_from_dict
     parts = {}
     for field in ("xi1", "xi2", "j"):
         try:

@@ -28,8 +28,8 @@ scans every ``C <= dom(f) + Z - A`` while ``spare <= max_d``.
 ``solve_discard`` rejects every candidate of a skipped level for exactly
 these reasons, so the first witness is unchanged.
 
-They also skip most wirings ``xi1`` (``TheoryInstance.xi1_candidates``).
-Four symmetries of the equation act on them:
+They also skip most wirings ``xi1`` (``TheoryInstance.xi1_candidates``),
+by four symmetries of the equation and one filter.  The symmetries:
 
 1. permuting the points of ``dom(f)`` inside one fiber of ``f``;
 2. permuting the class made of every singleton-fiber point of ``f``
@@ -56,10 +56,38 @@ in the least way (isomorph-free generation, as in McKay, J. Algorithms
 least in its orbit and is kept; every kept ``xi1`` before it was also in
 the plain scan before it, hence not solvable.  The classes are read from
 the fiber partition of ``f.map``, never from profile counts, so the search
-stays independent of :func:`pcdres.convert.decide`.  Each shape's kept
-wirings are built once and cached, up to ``convert._KEPT_XI1`` (16,384) of
+stays independent of :func:`pcdres.convert.decide`.
+
+5. Of the orbit-least wirings they try only those that solve.
+   ``m = (f + 1_Z) . xi1`` joins two inputs exactly when their images lie
+   in one fiber of ``f + 1_Z``, where each singleton-fiber point and each
+   ``Z`` point is a fiber of its own.  ``solve_discard`` makes three
+   tests, and each reads only those fibers.  The forced images
+   ``xi2(m(i)) = g(i)`` of the g-block (the first ``|A|`` inputs) neither
+   conflict (``m`` joins two inputs that ``g`` parts) nor merge (``g``
+   joins two inputs that ``m`` parts) exactly when the fibers the g-block
+   hits, each named by its rank of first use, form the same pattern as
+   ``g.map``.  No forced point is also a junk image exactly when the junk
+   block hits no fiber the g-block hits.  And with ``junk`` the number of
+   fibers the junk block hits, the least ``D`` is
+   ``max(cod(f) + Z - cod(g), junk, 0)``; it must not pass ``max_d``, and
+   under set-bij it must equal ``cod(f) + Z - cod(g)``.  When all three
+   hold, ``solve_discard`` returns a witness (proof in its docstring).  So
+   ``convert._xi1_index`` files each orbit-least wiring of a shape once,
+   in scan order, under its g-block's pattern and with its ``junk``
+   count, and drops those whose two blocks share a fiber; a search reads
+   only the wirings filed under ``g``'s pattern whose ``junk`` passes the
+   rule on ``D``.  Proof that the witness is unchanged: the wirings left
+   out are exactly those ``solve_discard`` rejects and the rest keep their
+   scan order, so the first wiring tried is the first one the orbit scan
+   would solve, and ``compose`` and ``solve_discard`` still build the
+   witness from it.  A positive search therefore calls ``solve_discard``
+   once and a negative one never.  Like the classes, the index reads only
+   ``f``'s fiber partition and ``g``'s map and sizes.
+
+The index keeps a shape's wirings up to ``convert._KEPT_XI1`` (16,384) of
 them; a larger shape streams them from the same scan, in the same order,
-so memory stays bounded.
+through the same test, so memory stays bounded.
 
 Everything here also works for the relational theory over cartesian
 products, whose free morphisms are graphs of functions.  That theory orders
@@ -76,7 +104,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .convert import TheoryInstance, TheoryVariant, Witness, witness_from_dict
+from .convert import TheoryInstance, TheoryVariant, Witness, _witness_from_dict
 from .finset import (
     FinFun,
     FinSet,
@@ -139,7 +167,7 @@ class RelTimesTheory(TheoryInstance):
         return relation_from_dict(data)
 
     def witness_from_dict(self, data: object) -> Witness:
-        return witness_from_dict(data, relational=True)
+        return _witness_from_dict(data, relation_from_dict)
 
     def compose(self, late: Relation, early: Relation) -> Relation:
         return rel_compose(late, early)
@@ -201,7 +229,7 @@ def oracle_convertible(
         padded = theory.pad(f, z_obj)
         for _, c in level:
             c_obj = FinSet(c)
-            for xi1 in theory.xi1_candidates(f, z_obj, g.dom, c_obj):
+            for xi1 in theory.xi1_candidates(f, z_obj, g, c_obj, bounds.max_d):
                 m = theory.compose(padded, xi1)
                 found = theory.solve_discard(m, g, c_obj.size, bounds.max_d)
                 if found is not None:

@@ -606,7 +606,7 @@ def test_witness_dict_relational_round_trip():
     xi2 = Relation.from_pairs(2, 1, [(0, 0), (1, 0)])
     j = Relation.from_pairs(0, 1, [])
     w = Witness(z, xi1, xi2, j)
-    assert witness_from_dict(witness_to_dict(w), relational=True) == w
+    assert REL_TIMES_THEORY.witness_from_dict(witness_to_dict(w)) == w
 
 
 def test_witness_dict_errors():

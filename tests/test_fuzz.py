@@ -185,7 +185,7 @@ DECODERS = (
     relation_from_dict,
     profile_from_dict,
     witness_from_dict,
-    lambda data: witness_from_dict(data, relational=True),
+    THEORIES["rel-times"].witness_from_dict,
 )
 PROFILES = st.dictionaries(
     st.sampled_from(FIELDS),

@@ -11,6 +11,8 @@ import gc
 import itertools
 import random
 import tracemalloc
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -33,10 +35,19 @@ from pcdres import (
     preorder_table,
     relx_convert,
     theory_for,
+    witness_to_dict,
 )
 from pcdres import check_witness as verify_witness
 from pcdres import convert
-from pcdres.convert import _canonical_xi1, _fiber_classes, _free_funs
+from pcdres.convert import (
+    _fiber_classes,
+    _first_use,
+    _free_funs,
+    _map_pattern,
+    _scan_xi1,
+    _xi1_index,
+)
+from pcdres.finset import _compact_json
 from pcdres.oracle import REL_TIMES_THEORY, BoundsTooTightError, TheoryInstance
 
 MERGE = FinFun.from_map([0, 0], 1)
@@ -63,6 +74,36 @@ class PlainScan(Wrapped):
     """Same theory, but the search tries every free ``xi1``, not one per orbit."""
 
     xi1_candidates = TheoryInstance.xi1_candidates
+
+
+@lru_cache(maxsize=None)
+def _orbit_scan(variant, classes, z, a, c):
+    n, size = len(classes) + z, a + c
+    if size > n or (variant is TheoryVariant.SET_BIJ and size != n):
+        return ()  # no free map of this shape
+    return tuple(_scan_xi1(classes, z, a, c))
+
+
+def orbit_scan(variant, f, z, a, c):
+    """Every free ``xi1 : a + c -> dom(f) + z`` least in its orbit, solvable or not."""
+    return _orbit_scan(variant, _fiber_classes(f.map), z, a, c)
+
+
+class OrbitScan(Wrapped):
+    """Same theory, but the search tries every orbit-least ``xi1``, unfiltered."""
+
+    def xi1_candidates(self, f, z, g, c, max_d):
+        return orbit_scan(self.theory, f, z.size, g.dom.size, c.size)
+
+
+class Counted(Wrapped):
+    """Same theory, counting the calls to ``solve_discard``."""
+
+    calls = 0
+
+    def solve_discard(self, m, g, c_size, max_d):
+        self.calls += 1
+        return self.theory.solve_discard(m, g, c_size, max_d)
 
 
 def all_relations(max_size):
@@ -133,7 +174,9 @@ def test_propagation_matches_plain_enumeration():
     funs = list(enumerate_all_functions(2))
     bounds = SearchBounds(2, 3, 3)
     for variant in TheoryVariant:
-        naive = NaiveTheory(variant)
+        # over the unfiltered orbit scan, so the naive solver also meets
+        # the wirings that do not solve
+        naive = NaiveTheory(OrbitScan(variant))
         fast = theory_for(variant)
         for f in funs:
             for g in funs:
@@ -170,6 +213,70 @@ def test_symmetry_reduced_scan_matches_plain_scan():
             for g in small:
                 expected = oracle_convertible(plain, f, g, bounds)
                 assert oracle_convertible(variant, f, g, bounds) == expected, (f, g)
+
+
+def _witness_json(w):
+    return None if w is None else _compact_json(witness_to_dict(w))
+
+
+def test_indexed_search_matches_orbit_scan(monkeypatch):
+    # the index keeps only the wirings that solve, so each positive search
+    # calls solve_discard once and each negative never; the witness bytes
+    # are those of the orbit scan that tries every orbit-least wiring.
+    # Once with every shape filed, once with every shape streamed.
+    funs = list(enumerate_all_functions(3))
+    cases = [
+        (bounds, variant, f, g)
+        for bounds in (SearchBounds(3, 6, 6), SearchBounds(1, 2, 1), SearchBounds(2, 4, 0))
+        for variant in TheoryVariant
+        for f in funs
+        for g in funs
+    ]
+    expected = [_witness_json(oracle_convertible(OrbitScan(v), f, g, b)) for b, v, f, g in cases]
+    for kept in (True, False):
+        _xi1_index.cache_clear()
+        if not kept:
+            monkeypatch.setattr(convert, "_KEPT_XI1", 0)
+        tally = {True: Counter(), False: Counter()}
+        for (bounds, variant, f, g), want in zip(cases, expected):
+            counted = Counted(variant)
+            got = _witness_json(oracle_convertible(counted, f, g, bounds))
+            assert got == want, (kept, bounds, variant, f, g)
+            tally[got is not None][counted.calls] += 1
+        assert tally == {True: {1: 9587}, False: {0: 12013}}
+        # a call that streams raises out of the cache, so it counts as a
+        # miss and stores nothing
+        info = _xi1_index.cache_info()
+        assert (info.misses == info.currsize) if kept else (info.misses > info.currsize)
+    _xi1_index.cache_clear()
+
+
+def _class_representatives(n):
+    """One function per class ``(dom, cod, sorted fiber sizes)`` of size <= ``n``.
+
+    Every bijection is free in both set theories, so the oracle's answer
+    depends only on the classes of ``f`` and ``g``.
+    """
+    reps = {}
+    for f in enumerate_all_functions(n):
+        reps.setdefault((f.dom.size, f.cod.size, tuple(sorted(Counter(f.map).values()))), f)
+    return list(reps.values())
+
+
+def test_oracle_agrees_with_decide_on_size_5_classes():
+    reps = _class_representatives(5)
+    assert len(reps) == 72
+    bounds = SearchBounds(5, 10, 10)
+    for variant, count in ((TheoryVariant.SET_BIJ, 1347), (TheoryVariant.SET_INJ, 2830)):
+        found = 0
+        for f in reps:
+            for g in reps:
+                w = oracle_convertible(variant, f, g, bounds)
+                assert (w is not None) == decide(variant, f, g), (variant, f, g)
+                if w is not None:
+                    assert verify_witness(variant, f, g, w), (variant, f, g)
+                    found += 1
+        assert found == count
 
 
 def _relabelings(classes):
@@ -213,7 +320,7 @@ def _orbit_least_candidates(variant, f, z, a, c):
     relabelings = _relabelings(_fiber_classes(f.map) + (-1,) * z)
     return [
         xi1
-        for xi1 in PlainScan(variant).xi1_candidates(f, FinSet(z), FinSet(a), FinSet(c))
+        for xi1 in variant.free_morphisms(a + c, f.dom.size + z)
         if xi1.map == _least_in_orbit(xi1, relabelings, a)
     ]
 
@@ -227,8 +334,7 @@ def test_xi1_candidates_are_the_orbit_representatives():
         for variant in TheoryVariant:
             for z, a, c in itertools.product(range(2), range(3), range(3)):
                 expected = _orbit_least_candidates(variant, f, z, a, c)
-                got = variant.xi1_candidates(f, FinSet(z), FinSet(a), FinSet(c))
-                assert list(got) == expected
+                assert list(orbit_scan(variant, f, z, a, c)) == expected
 
 
 # three 2-fibers and two 3-fibers, with fibers laid out in blocks and interleaved
@@ -250,7 +356,7 @@ def test_xi1_candidates_are_the_orbit_representatives_across_equal_fibers():
         for variant in TheoryVariant:
             for a, c in itertools.product(range(3), range(3, 5)):
                 expected = _orbit_least_candidates(variant, f, 0, a, c)
-                got = variant.xi1_candidates(f, FinSet(0), FinSet(a), FinSet(c))
+                got = orbit_scan(variant, f, 0, a, c)
                 assert list(got) == expected, (f, variant, a, c)
                 cases += len(expected)
     assert cases == 68
@@ -265,26 +371,40 @@ def test_equal_fibers_cut_the_wirings_of_f_equals_g():
     for k, count in ((5, 945), (6, 10_395)):
         f = _fibers_of_two(k)
         for variant in TheoryVariant:
-            got = variant.xi1_candidates(f, FinSet(0), f.dom, FinSet(0))
+            got = orbit_scan(variant, f, 0, f.dom.size, 0)
             assert len(got) == count
             assert got[0] == identity(f.dom)
+            # with g = f the wirings that solve send fibers onto fibers,
+            # and they form one orbit
+            assert list(variant.xi1_candidates(f, FinSet(0), f, FinSet(0), 0)) == [got[0]]
 
 
 def test_large_shapes_stream_in_the_cached_order(monkeypatch):
     f = _fibers_of_two(4)
-    shape = (f, FinSet(1), FinSet(6), FinSet(3))
-    cached = TheoryVariant.SET_INJ.xi1_candidates(*shape)
-    assert isinstance(cached, tuple) and len(cached) > 10
-    _canonical_xi1.cache_clear()
+    z, c = FinSet(1), FinSet(3)
+    assert len(orbit_scan(TheoryVariant.SET_INJ, f, 1, 6, 3)) == 210
+    # one g per way the six inputs can hit fibers of f + 1_Z: each
+    # partition of six points into blocks of at most two
+    patterns = {_first_use(m) for m in itertools.product(range(6), repeat=6)}
+    gs = [FinFun.from_map(p, 6) for p in patterns if max(Counter(p).values()) <= 2]
+    assert len(gs) == 76
+    requests = [(g, max_d) for g in gs for max_d in (2, 6)]
+
+    def candidates():
+        return [list(TheoryVariant.SET_INJ.xi1_candidates(f, z, g, c, d)) for g, d in requests]
+
+    _xi1_index.cache_clear()
+    cached = candidates()
+    assert _xi1_index.cache_info().currsize == 1
+    assert sum(map(len, cached)) > 10
+    _xi1_index.cache_clear()
     monkeypatch.setattr(convert, "_KEPT_XI1", 10)
-    streamed = TheoryVariant.SET_INJ.xi1_candidates(*shape)
-    assert not isinstance(streamed, tuple)
-    assert tuple(streamed) == cached
-    assert _canonical_xi1.cache_info().currsize == 0
+    assert candidates() == cached
+    assert _xi1_index.cache_info().currsize == 0
     # a shape within the cap is still kept
-    kept = TheoryVariant.SET_INJ.xi1_candidates(f, FinSet(0), FinSet(1), FinSet(0))
-    assert isinstance(kept, tuple)
-    assert _canonical_xi1.cache_info().currsize == 1
+    g = FinFun.from_map([0], 1)
+    assert list(TheoryVariant.SET_INJ.xi1_candidates(f, FinSet(0), g, FinSet(0), 3))
+    assert _xi1_index.cache_info().currsize == 1
 
 
 class PlainLevels(Wrapped):
@@ -336,7 +456,7 @@ def test_oracle_caches_stay_small():
     # the size <= 3 sweep at bounds (3, 6, 6) leaves under 0.5 MB behind
     funs = list(enumerate_all_functions(3))
     bounds = SearchBounds(3, 6, 6)
-    for cache in (_canonical_xi1, _fiber_classes, _free_funs):
+    for cache in (_xi1_index, _map_pattern, _fiber_classes, _free_funs):
         cache.cache_clear()
     gc.collect()
     tracemalloc.start()
