@@ -98,7 +98,10 @@ class TheoryInstance:
         """The sizes ``(Z, C)`` the search scans: ``Z`` ascending, then ``C``.
 
         Default: every level within ``bounds``.  A theory may leave out
-        levels, judged from sizes alone, on which no candidate can solve.
+        levels on which no candidate can solve.  The levels must depend on
+        ``dom(f)``, ``cod(f)``, ``dom(g)``, ``cod(g)`` and ``bounds`` alone,
+        never on the maps: the set theories cache them as a plan keyed by
+        sizes.
         """
         return itertools.product(range(bounds.max_z + 1), range(bounds.max_c + 1))
 
@@ -191,28 +194,19 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         return iter(_free_funs(self, getattr(dom, "size", dom), getattr(cod, "size", cod)))
 
     def levels(self, f: FinFun, g: FinFun, bounds) -> Iterator[tuple[int, int]]:
-        """The levels with a free ``xi1`` and, for some ``D <= max_d``, a free ``xi2``.
+        """The levels of :func:`_scan_levels`, read from a cached plan.
 
-        With ``A = dom(g)``, ``xi1 : A + C -> dom(f) + Z`` is free only if
-        ``A + C <= dom(f) + Z``, with equality under set-bij.
-        ``xi2 : cod(f) + Z -> cod(g) + D`` is free only if
-        ``spare = cod(f) + Z - cod(g) <= D``, with equality under set-bij, so
-        only if ``spare <= max_d`` (and ``spare >= 0`` under set-bij).
-        :meth:`solve_discard` rejects every candidate of a skipped level for
-        exactly these reasons, so the first witness is unchanged.  ``spare``
-        grows with ``Z``, so the scan stops at the first ``Z`` where it
-        passes ``max_d``.
+        :func:`_level_plan` keeps a shape's first ``_KEPT_LEVELS`` levels;
+        a search that gets past them streams the rest from the same scan.
         """
-        for z in range(bounds.max_z + 1):
-            spare = f.cod.size + z - g.cod.size
-            if spare > bounds.max_d:
-                return
-            room = f.dom.size + z - g.dom.size  # the largest C with a free xi1
-            if self is TheoryVariant.SET_INJ:
-                for c in range(min(room, bounds.max_c) + 1):
-                    yield z, c
-            elif spare >= 0 and 0 <= room <= bounds.max_c:
-                yield z, room
+        sizes = (
+            self, f.dom.size - g.dom.size, f.cod.size - g.cod.size,
+            bounds.max_z, bounds.max_c, bounds.max_d,
+        )
+        kept, more = _level_plan(*sizes)
+        if not more:
+            return iter(kept)
+        return itertools.chain(kept, itertools.islice(_scan_levels(*sizes), _KEPT_LEVELS, None))
 
     def xi1_candidates(
         self, f: FinFun, z: FinSet, g: FinFun, c: FinSet, max_d: int
@@ -318,6 +312,48 @@ def _free_funs(variant: TheoryVariant, dom_size: int, cod_size: int) -> tuple[Fi
     if variant is TheoryVariant.SET_BIJ:
         return tuple(enumerate_bijections(dom_size, cod_size))
     return tuple(enumerate_injections(dom_size, cod_size))
+
+
+def _scan_levels(
+    variant: TheoryVariant, room: int, spare: int, max_z: int, max_c: int, max_d: int
+) -> Iterator[tuple[int, int]]:
+    """The levels with a free ``xi1`` and, for some ``D <= max_d``, a free ``xi2``.
+
+    ``room = dom(f) - dom(g)`` and ``spare = cod(f) - cod(g)`` at ``Z = 0``;
+    both grow by one with each ``Z`` point, and the four sizes enter the
+    levels only through them.  With ``A = dom(g)``,
+    ``xi1 : A + C -> dom(f) + Z`` is free only if ``C <= room``, with
+    equality under set-bij.  ``xi2 : cod(f) + Z -> cod(g) + D`` is free
+    only if ``spare <= D``, with equality under set-bij, so only if
+    ``spare <= max_d`` (and ``spare >= 0`` under set-bij).
+    :meth:`TheoryVariant.solve_discard` rejects every candidate of a skipped
+    level for exactly these reasons, so the first witness is unchanged.
+    The scan stops at the first ``Z`` where ``spare`` passes ``max_d``.
+    """
+    for z in range(max_z + 1):
+        if spare + z > max_d:
+            return
+        if variant is TheoryVariant.SET_INJ:
+            for c in range(min(room + z, max_c) + 1):
+                yield z, c
+        elif spare + z >= 0 and 0 <= room + z <= max_c:
+            yield z, room + z
+
+
+# The most levels a plan keeps; a search past them streams.  Bounds
+# (6, 12, 12) give at most 91, while bounds the command line accepts can
+# give about 10^13.
+_KEPT_LEVELS = 1 << 8
+
+
+@lru_cache(maxsize=1024)
+def _level_plan(
+    variant: TheoryVariant, room: int, spare: int, max_z: int, max_c: int, max_d: int
+) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """The first ``_KEPT_LEVELS`` levels of :func:`_scan_levels`, and whether more follow."""
+    scan = _scan_levels(variant, room, spare, max_z, max_c, max_d)
+    kept = tuple(itertools.islice(scan, _KEPT_LEVELS + 1))
+    return kept[:_KEPT_LEVELS], len(kept) > _KEPT_LEVELS
 
 
 @lru_cache(maxsize=1024)

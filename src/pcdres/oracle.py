@@ -26,7 +26,15 @@ With ``A = dom(g)`` and ``spare = cod(f) + Z - cod(g)``, set-bij scans
 only ``C = dom(f) + Z - A`` and only while ``0 <= spare <= max_d``; set-inj
 scans every ``C <= dom(f) + Z - A`` while ``spare <= max_d``.
 ``solve_discard`` rejects every candidate of a skipped level for exactly
-these reasons, so the first witness is unchanged.
+these reasons, so the first witness is unchanged.  Since the levels read
+only sizes, ``convert._level_plan`` caches them as a plan keyed by
+``dom(f) - dom(g)``, ``cod(f) - cod(g)`` and the bounds.  A plan keeps up
+to ``convert._KEPT_LEVELS`` (256) levels; a search that gets past them
+streams the rest from the same scan, so huge bounds cost no memory.  The
+search walks the plan in one flat loop and builds ``f + 1_Z`` only when a
+``Z`` yields its first wiring to try, so a level with no filed wiring
+costs only the cached lookups of ``xi1_candidates``, and a negative
+search never pads.
 
 They also skip most wirings ``xi1`` (``TheoryInstance.xi1_candidates``),
 by four symmetries of the equation and one filter.  The symmetries:
@@ -102,7 +110,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 from .convert import TheoryInstance, TheoryVariant, Witness, _witness_from_dict
 from .finset import (
@@ -224,17 +231,17 @@ def oracle_convertible(
     """Search for a conversion witness within ``bounds``; None if none exists there."""
     if bounds is None:
         bounds = default_bounds(f, g)
-    for z, level in itertools.groupby(theory.levels(f, g, bounds), itemgetter(0)):
+    max_d = bounds.max_d
+    padded_z = padded = None
+    for z, c in theory.levels(f, g, bounds):
         z_obj = FinSet(z)
-        padded = theory.pad(f, z_obj)
-        for _, c in level:
-            c_obj = FinSet(c)
-            for xi1 in theory.xi1_candidates(f, z_obj, g, c_obj, bounds.max_d):
-                m = theory.compose(padded, xi1)
-                found = theory.solve_discard(m, g, c_obj.size, bounds.max_d)
-                if found is not None:
-                    xi2, j = found
-                    return Witness(z_obj, xi1, xi2, j)
+        for xi1 in theory.xi1_candidates(f, z_obj, g, FinSet(c), max_d):
+            if padded_z != z:
+                padded_z, padded = z, theory.pad(f, z_obj)
+            found = theory.solve_discard(theory.compose(padded, xi1), g, c, max_d)
+            if found is not None:
+                xi2, j = found
+                return Witness(z_obj, xi1, xi2, j)
     return None
 
 

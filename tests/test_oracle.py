@@ -43,6 +43,7 @@ from pcdres.convert import (
     _fiber_classes,
     _first_use,
     _free_funs,
+    _level_plan,
     _map_pattern,
     _scan_xi1,
     _xi1_index,
@@ -97,13 +98,18 @@ class OrbitScan(Wrapped):
 
 
 class Counted(Wrapped):
-    """Same theory, counting the calls to ``solve_discard``."""
+    """Same theory, counting the calls to ``solve_discard`` and to ``pad``."""
 
     calls = 0
+    pads = 0
 
     def solve_discard(self, m, g, c_size, max_d):
         self.calls += 1
         return self.theory.solve_discard(m, g, c_size, max_d)
+
+    def pad(self, f, z):
+        self.pads += 1
+        return self.theory.pad(f, z)
 
 
 def all_relations(max_size):
@@ -221,7 +227,8 @@ def _witness_json(w):
 
 def test_indexed_search_matches_orbit_scan(monkeypatch):
     # the index keeps only the wirings that solve, so each positive search
-    # calls solve_discard once and each negative never; the witness bytes
+    # calls solve_discard once and each negative never, and f + 1_Z is
+    # built only for a wiring to try: once or never; the witness bytes
     # are those of the orbit scan that tries every orbit-least wiring.
     # Once with every shape filed, once with every shape streamed.
     funs = list(enumerate_all_functions(3))
@@ -242,8 +249,8 @@ def test_indexed_search_matches_orbit_scan(monkeypatch):
             counted = Counted(variant)
             got = _witness_json(oracle_convertible(counted, f, g, bounds))
             assert got == want, (kept, bounds, variant, f, g)
-            tally[got is not None][counted.calls] += 1
-        assert tally == {True: {1: 9587}, False: {0: 12013}}
+            tally[got is not None][counted.calls, counted.pads] += 1
+        assert tally == {True: {(1, 1): 9587}, False: {(0, 0): 12013}}
         # a call that streams raises out of the cache, so it counts as a
         # miss and stores nothing
         info = _xi1_index.cache_info()
@@ -438,6 +445,71 @@ def test_level_pruning_keeps_the_first_witness():
             assert oracle_convertible(REL_TIMES_THEORY, f, g) == expected
 
 
+def reference_levels(variant, f, g, bounds):
+    """The set theories' levels as a plain generator, before they were planned."""
+    for z in range(bounds.max_z + 1):
+        spare = f.cod.size + z - g.cod.size
+        if spare > bounds.max_d:
+            return
+        room = f.dom.size + z - g.dom.size
+        if variant is TheoryVariant.SET_INJ:
+            for c in range(min(room, bounds.max_c) + 1):
+                yield z, c
+        elif spare >= 0 and 0 <= room <= bounds.max_c:
+            yield z, room
+
+
+def test_level_plan_matches_the_plain_scan():
+    # levels read sizes alone, so one function per (dom, cod) stands for all
+    shapes = [
+        FinFun.from_map([0] * d, c) for d in range(5) for c in range(5) if c or not d
+    ]
+    assert len(shapes) == 21  # a nonempty domain needs a codomain point
+    for bounds in (
+        SearchBounds(0, 0, 0),
+        SearchBounds(1, 2, 1),
+        SearchBounds(2, 4, 0),
+        SearchBounds(3, 1, 2),
+        SearchBounds(3, 6, 6),
+    ):
+        for variant in TheoryVariant:
+            for f in shapes:
+                for g in shapes:
+                    expected = list(reference_levels(variant, f, g, bounds))
+                    assert list(variant.levels(f, g, bounds)) == expected, (bounds, f, g)
+                    # a second search reads the cached plan
+                    assert list(variant.levels(f, g, bounds)) == expected
+
+
+def test_huge_bounds_stream_levels_past_the_plan(monkeypatch):
+    huge = SearchBounds(10**6, 10**6, 10**6)
+    f, g = FinFun.from_map([0, 0, 1], 2), POINT
+    _level_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(TheoryVariant.SET_INJ.levels(f, g, huge), 100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == list(itertools.islice(reference_levels(TheoryVariant.SET_INJ, f, g, huge), 100))
+    assert peak < 2**20
+    # past a plan's last level the scan streams on in the same order
+    monkeypatch.setattr(convert, "_KEPT_LEVELS", 5)
+    _level_plan.cache_clear()
+    for bounds in (huge, SearchBounds(3, 6, 6)):
+        for variant in TheoryVariant:
+            got = list(itertools.islice(variant.levels(f, g, bounds), 40))
+            assert got == list(itertools.islice(reference_levels(variant, f, g, bounds), 40))
+    monkeypatch.undo()
+    _level_plan.cache_clear()
+    # the second pair's set-bij witness needs Z = 2, C = 2 and D = 1
+    for g in (POINT, identity(FinSet(2))):
+        for variant in TheoryVariant:
+            w = oracle_convertible(variant, MERGE, g, huge)
+            assert w is not None
+            assert w == oracle_convertible(variant, MERGE, g, SearchBounds(3, 6, 6))
+
+
 def test_oracle_agrees_with_decide_on_a_size_4_sample():
     funs = list(enumerate_all_functions(4))
     assert len(funs) == 499
@@ -456,7 +528,7 @@ def test_oracle_caches_stay_small():
     # the size <= 3 sweep at bounds (3, 6, 6) leaves under 0.5 MB behind
     funs = list(enumerate_all_functions(3))
     bounds = SearchBounds(3, 6, 6)
-    for cache in (_xi1_index, _map_pattern, _fiber_classes, _free_funs):
+    for cache in (_xi1_index, _level_plan, _map_pattern, _fiber_classes, _free_funs):
         cache.cache_clear()
     gc.collect()
     tracemalloc.start()
