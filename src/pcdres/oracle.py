@@ -29,8 +29,9 @@ scans every ``C <= dom(f) + Z - A`` while ``spare <= max_d``.
 these reasons, so the first witness is unchanged.  Since the levels read
 only sizes, ``convert._level_plan`` caches them as a plan keyed by
 ``dom(f) - dom(g)``, ``cod(f) - cod(g)`` and the bounds.  A plan keeps up
-to ``convert._KEPT_LEVELS`` (256) levels; a search that gets past them
-streams the rest from the same scan, so huge bounds cost no memory.  The
+to ``convert._KEPT_LEVELS`` (128) levels and the cache up to 128 plans,
+about 1 MiB in all; a search that gets past a plan's last level streams
+the rest from the same scan, so huge bounds cost no memory.  The
 search walks the plan in one flat loop and builds ``f + 1_Z`` only when a
 ``Z`` yields its first wiring to try, so a level with no filed wiring
 costs only the cached lookups of ``xi1_candidates``, and a negative

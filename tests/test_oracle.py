@@ -510,6 +510,25 @@ def test_huge_bounds_stream_levels_past_the_plan(monkeypatch):
             assert w == oracle_convertible(variant, MERGE, g, SearchBounds(3, 6, 6))
 
 
+def test_level_plans_stay_near_a_mebibyte():
+    # more shapes than the cache holds, each with more levels than a plan keeps
+    _level_plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for room in range(200, 500):
+            kept, more = _level_plan(TheoryVariant.SET_INJ, room, 0, 10**6, 10**6, 10**6)
+            assert len(kept) == convert._KEPT_LEVELS and more
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _level_plan.cache_clear()
+    assert _level_plan.cache_info().maxsize == 128
+    assert after - before < 1.25 * 2**20
+
+
 def test_oracle_agrees_with_decide_on_a_size_4_sample():
     funs = list(enumerate_all_functions(4))
     assert len(funs) == 499
