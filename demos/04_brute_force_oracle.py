@@ -2,10 +2,12 @@
 
 No profiles here.  The oracle enumerates auxiliary sizes, junk shapes, and
 free wirings, and builds the discarding side in one pass.  Of
-the input wirings it tries one per orbit of the symmetries the equation
-cannot see (points inside one fiber of f, singleton-fiber points together
-with the auxiliary points, and the junk inputs), and still returns the
-witness a scan of every wiring would find first.  Its
+the input wirings it tries every orbit's least wiring under the symmetries
+the equation cannot see (points inside one fiber of f, singleton-fiber
+points together with the auxiliary points, the junk inputs, and whole
+fibers of f of equal size), and where a junk block of three or more inputs
+meets unused fibers of one size, some others of its orbit; it still
+returns the witness a scan of every wiring would find first.  Its
 agreement with the profile-based decision procedure on exhaustive small
 slices is the package's central self-check, repeated below on a small grid.
 """

@@ -64,11 +64,11 @@ class TheoryInstance:
     The :class:`TheoryVariant` members and the oracle's relational theory
     implement it; ``check_witness`` also reads ``morphism_type``, and the
     command line calls ``witness(f, g)`` and the two ``*_from_dict`` decoders.
-    The oracle's search scans the ``(Z, C)`` sizes that ``levels`` yields
-    and takes its wirings ``xi1`` from ``xi1_candidates``: every level and
-    every free morphism by default.  The set theories narrow that to the
-    levels where free wirings exist and to the wirings that solve, one per
-    orbit of the equation's symmetries.
+    The oracle's search tries the candidates ``(Z, C, xi1)`` that
+    ``candidates`` yields: every level and every free morphism by default.
+    The set theories narrow that to the levels where free wirings exist
+    and to the wirings that solve among those their orbit scan keeps; the
+    :mod:`pcdres.oracle` docstring states the contract.
     """
 
     name: str
@@ -94,23 +94,18 @@ class TheoryInstance:
     def free_morphisms(self, dom: FinSet, cod: FinSet):
         raise NotImplementedError
 
-    def levels(self, f, g, bounds) -> Iterator[tuple[int, int]]:
-        """The sizes ``(Z, C)`` the search scans: ``Z`` ascending, then ``C``.
+    def candidates(self, f, g, bounds) -> Iterator[tuple[int, int, object]]:
+        """The ``(Z, C, xi1)`` the search tries, in scan order.
 
-        Default: every level within ``bounds``.  A theory may leave out
-        levels, judged from sizes alone, on which no candidate can solve.
+        Default: every level within ``bounds``, ``Z`` ascending then ``C``,
+        and on each every free ``xi1 : dom(g) (x) C -> dom(f) (x) Z``.  A
+        theory may leave out any candidate whose omission keeps the first
+        witness; the :mod:`pcdres.oracle` docstring states the contract.
         """
-        return itertools.product(range(bounds.max_z + 1), range(bounds.max_c + 1))
-
-    def xi1_candidates(self, f, z: FinSet, g, c: FinSet, max_d: int):
-        """The wirings ``xi1 : dom(g) (x) C -> dom(f) (x) Z`` that can solve, in scan order.
-
-        Default: every free morphism.  A theory may leave out a wiring for
-        which ``solve_discard(m, g, C, max_d)`` fails, and a solvable wiring
-        whose orbit under the equation's symmetries holds an earlier one it
-        keeps; either way the first witness the search returns is unchanged.
-        """
-        return self.free_morphisms(self.obj_tensor(g.dom, c), self.obj_tensor(f.dom, z))
+        for z, c in itertools.product(range(bounds.max_z + 1), range(bounds.max_c + 1)):
+            dom, cod = self.obj_tensor(g.dom, FinSet(c)), self.obj_tensor(f.dom, FinSet(z))
+            for xi1 in self.free_morphisms(dom, cod):
+                yield z, c, xi1
 
     def is_free(self, m) -> bool:
         raise NotImplementedError
@@ -190,52 +185,51 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         """The free morphisms ``dom -> cod`` in enumeration order, built once per shape."""
         return iter(_free_funs(self, getattr(dom, "size", dom), getattr(cod, "size", cod)))
 
-    def levels(self, f: FinFun, g: FinFun, bounds) -> Iterator[tuple[int, int]]:
-        """The levels of :func:`_scan_levels`, read from a cached plan.
+    def candidates(self, f: FinFun, g: FinFun, bounds) -> Iterator[tuple[int, int, FinFun]]:
+        """The planned levels' filed wirings, in scan order.
 
-        :func:`_level_plan` keeps a shape's first ``_KEPT_LEVELS`` levels;
-        a search that gets past them streams the rest from the same scan.
-        The plan is keyed by sizes, so the levels must depend on ``dom(f)``,
-        ``cod(f)``, ``dom(g)``, ``cod(g)`` and ``bounds`` alone, never on
-        the maps.
+        The levels come from :func:`_level_plan`, streamed on from
+        :func:`_scan_levels` past its end; the plan is keyed by sizes, so
+        they depend on ``dom(f)``, ``cod(f)``, ``dom(g)``, ``cod(g)`` and
+        ``bounds`` alone.  On each level that has a free ``xi1``, the
+        wirings :func:`_xi1_index` files under ``g``'s pattern whose junk
+        count passes :meth:`_junk_limit`; a shape too large to file
+        streams through the same test.  The tests on each level hold for
+        any level, planned or not.  The symmetries, the filter and the
+        proof that the first witness is unchanged are in the
+        :mod:`pcdres.oracle` docstring.
         """
         sizes = (
             self, f.dom.size - g.dom.size, f.cod.size - g.cod.size,
             bounds.max_z, bounds.max_c, bounds.max_d,
         )
-        kept, more = _level_plan(*sizes)
-        if not more:
-            return iter(kept)
-        return itertools.chain(kept, itertools.islice(_scan_levels(*sizes), _KEPT_LEVELS, None))
-
-    def xi1_candidates(
-        self, f: FinFun, z: FinSet, g: FinFun, c: FinSet, max_d: int
-    ) -> Iterable[FinFun]:
-        """The free ``xi1`` least in their orbit that solve, in scan order.
-
-        The symmetries, the filter and the proof that the first witness is
-        unchanged are in the :mod:`pcdres.oracle` docstring.  A shape's
-        wirings are filed once in :func:`_xi1_index`, or streamed and
-        filtered by the same test for a shape with more than ``_KEPT_XI1``
-        of them.  A shape with no free map gives no candidate.
-        """
-        a = g.dom.size
-        n, size = f.dom.size + z.size, a + c.size
-        if size > n or (self is TheoryVariant.SET_BIJ and size != n):
-            return ()  # no free map of this shape
-        want = _map_pattern(g.map)
-        try:
-            filed = _xi1_index(_fiber_classes(f.map), z.size, a, c.size).get(want)
-        except _Unkept as unkept:
-            limit = self._junk_limit(f.cod.size + z.size - g.cod.size, max_d)
-            return (x for p, junk, x in unkept.filed if p == want and junk <= limit)
-        if filed is None:
-            return ()  # no wiring of this shape meets g's pattern
-        top, wirings, junks = filed
-        limit = self._junk_limit(f.cod.size + z.size - g.cod.size, max_d)
-        if top <= limit:
-            return wirings
-        return itertools.compress(wirings, [junk <= limit for junk in junks])
+        levels, more = _level_plan(*sizes)
+        if more:
+            streamed = itertools.islice(_scan_levels(*sizes), _KEPT_LEVELS, None)
+            levels = itertools.chain(levels, streamed)
+        want, classes = _map_pattern(g.map), _fiber_classes(f.map)
+        a, spare, max_d = g.dom.size, f.cod.size - g.cod.size, bounds.max_d
+        bij = self is TheoryVariant.SET_BIJ
+        for z, c in levels:
+            room = len(classes) + z - a - c
+            if room < 0 or (bij and room):
+                continue  # no free xi1 of this shape
+            index = _xi1_index(classes, z, a, c)
+            if index is None:  # too many wirings to keep: stream them
+                limit = self._junk_limit(spare + z, max_d)
+                for pattern, junk, xi1 in _filed(_scan_xi1(classes, z, a, c), classes, z, a):
+                    if pattern == want and junk <= limit:
+                        yield z, c, xi1
+                continue
+            filed = index.get(want)
+            if filed is None:
+                continue  # no wiring of this shape meets g's pattern
+            top, wirings, junks = filed
+            limit = self._junk_limit(spare + z, max_d)
+            if top > limit:
+                wirings = itertools.compress(wirings, [junk <= limit for junk in junks])
+            for xi1 in wirings:
+                yield z, c, xi1
 
     def _junk_limit(self, spare: int, max_d: int) -> int:
         """The most junk fibers a solvable wiring may hit, or -1 if none solves.
@@ -377,40 +371,26 @@ def _first_use(seq) -> tuple[int, ...]:
     return tuple([rank.setdefault(y, len(rank)) for y in seq])
 
 
-# ``_first_use(g.map)``, which every level of one search asks for
+# ``_first_use(g.map)``, read once per search
 _map_pattern = lru_cache(maxsize=1024)(_first_use)
-
-
-class _Unkept(Exception):
-    """Raised by :func:`_xi1_index` for a shape it does not keep, so nothing is cached.
-
-    ``filed`` streams :func:`_filed` over all of the shape's wirings, in order.
-    """
-
-    def __init__(self, filed: Iterator[tuple[tuple[int, ...], int, FinFun]]) -> None:
-        super().__init__()
-        self.filed = filed
 
 
 @lru_cache(maxsize=None)
 def _xi1_index(
     classes: tuple[int, ...], z: int, a: int, c: int
-) -> dict[tuple[int, ...], tuple[int, tuple[FinFun, ...], tuple[int, ...]]]:
+) -> dict[tuple[int, ...], tuple[int, tuple[FinFun, ...], tuple[int, ...]]] | None:
     """The wirings of :func:`_scan_xi1` that can solve, filed by the fibers their g-block hits.
 
     Keyed by the pattern :func:`_filed` gives.  Each entry holds the
     wirings in scan order, their counts of junk fibers, and the largest
     count first, so a search whose rule on ``D`` admits that one takes the
-    wirings as they are.  :class:`_Unkept` past ``_KEPT_XI1`` wirings.
+    wirings as they are.  None past ``_KEPT_XI1`` wirings.
     """
-    scan = _scan_xi1(classes, z, a, c)
-    kept = tuple(itertools.islice(scan, _KEPT_XI1 + 1))
-    n = len(classes)
-    fibers = tuple(k if k >= 0 else n + x for x, k in enumerate(classes + (-1,) * z))
+    kept = tuple(itertools.islice(_scan_xi1(classes, z, a, c), _KEPT_XI1 + 1))
     if len(kept) > _KEPT_XI1:
-        raise _Unkept(_filed(itertools.chain(kept, scan), fibers, a))
+        return None
     index: dict[tuple[int, ...], tuple[list[FinFun], list[int]]] = {}
-    for pattern, junk, xi1 in _filed(kept, fibers, a):
+    for pattern, junk, xi1 in _filed(kept, classes, z, a):
         wirings, junks = index.setdefault(pattern, ([], []))
         wirings.append(xi1)
         junks.append(junk)
@@ -418,14 +398,17 @@ def _xi1_index(
 
 
 def _filed(
-    scan: Iterator[FinFun], fibers: tuple[int, ...], a: int
+    scan: Iterable[FinFun], classes: tuple[int, ...], z: int, a: int
 ) -> Iterator[tuple[tuple[int, ...], int, FinFun]]:
     """``(pattern, junk, xi1)`` for each wiring of ``scan`` whose two blocks hit disjoint fibers.
 
-    ``fibers[x]`` names the fiber of ``f + 1_Z`` that holds ``x``; the
-    pattern is :func:`_first_use` of the fibers the first ``a`` images hit,
-    and ``junk`` counts the fibers the rest hit.
+    Each fiber of ``f`` is named by its class, and each singleton-fiber
+    or ``Z`` point by itself past them; the pattern is :func:`_first_use`
+    of the fibers the first ``a`` images hit, and ``junk`` counts the
+    fibers the rest hit.
     """
+    n = len(classes)
+    fibers = tuple(k if k >= 0 else n + x for x, k in enumerate(classes + (-1,) * z))
     for xi1 in scan:
         hit = [fibers[x] for x in xi1.map]
         junk = set(hit[a:])
@@ -434,20 +417,22 @@ def _filed(
 
 
 def _scan_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> Iterator[FinFun]:
-    """The free ``xi1 : a + c -> len(classes) + z`` least in their orbit, in lexicographic order.
+    """The orbit scan: free ``xi1 : a + c -> len(classes) + z``, in lexicographic order.
 
     The maps are injective, and the caller passes only shapes that have a
     free map, so under set-bij they are bijective.  The ``Z`` points join
-    class -1; every other class is one fiber of ``f``.  A map is least in
-    its orbit exactly when
+    class -1; every other class is one fiber of ``f``.  The scan keeps the
+    maps in which
 
     - the i-th use of each class is that class's i-th smallest member;
     - a fiber is first used only after the fiber of its size with the
       next smaller first member;
-    - the images of the last ``c`` inputs increase;
-    - and the ``C`` block spreads its uses over the fibers of each size
-      that the first ``a`` inputs leave unused as :func:`_least_spread`
-      asks.  With ``c <= 2`` the other rules already ensure it.
+    - and the images of the last ``c`` inputs increase.
+
+    These are every orbit's least wiring, and where a junk block of three
+    or more inputs meets unused fibers of one size, some others of its
+    orbit; the :mod:`pcdres.oracle` docstring proves the first witness
+    unchanged.
 
     So a prefix extends only by the next unused member of a class, and a
     fiber's first member only once the fiber before it is in use.  The scan
@@ -457,16 +442,11 @@ def _scan_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> Iterator[FinF
     everything beneath it, as the popped prefix was.  So the complete maps
     come out in lexicographic order, with no recursion.
     """
-    n = len(classes) + z
     size = a + c
     pools: dict[int, list[int]] = {}
     for x, k in enumerate(classes + (-1,) * z):
         pools.setdefault(k, []).append(x)
     members = list(pools.values())
-    class_of = [0] * n
-    for i, m in enumerate(members):
-        for x in m:
-            class_of[x] = i
     # after[i]: the class that must be in use before fiber i opens
     after: list[int | None] = []
     by_size: dict[int, list[int]] = {}
@@ -474,14 +454,12 @@ def _scan_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> Iterator[FinF
         same = by_size.setdefault(len(m), []) if k >= 0 else []
         after.append(same[-1] if same else None)
         same.append(i)
-    twins = [t for t in by_size.values() if len(t) > 1] if c > 2 else []
-    dom, cod = FinSet(size), FinSet(n)
+    dom, cod = FinSet(size), FinSet(len(classes) + z)
     stack = [((), (0,) * len(members))]
     while stack:
         entries, used = stack.pop()
         if len(entries) == size:
-            if not twins or _least_spread(entries, a, members, class_of, twins):
-                yield FinFun._trusted(dom, cod, entries)
+            yield FinFun._trusted(dom, cod, entries)
             continue
         low = entries[-1] if len(entries) > a else -1
         nexts = [
@@ -491,48 +469,6 @@ def _scan_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> Iterator[FinF
         ]
         for x, k in sorted(nexts, reverse=True):
             stack.append((entries + (x,), used[:k] + (used[k] + 1,) + used[k + 1 :]))
-
-
-def _least_spread(
-    entries: tuple[int, ...],
-    a: int,
-    members: list[list[int]],
-    class_of: list[int],
-    twins: list[list[int]],
-) -> bool:
-    """Whether no swap of whole fibers of one size makes the ``C`` block of ``entries`` less.
-
-    Only the fibers of ``twins`` (classes of one size) that the first ``a``
-    entries leave unused can move, and the ``C`` block takes the smallest
-    members of each, so the blocks of one orbit differ only in which fiber
-    takes which count.  Two sorted blocks of one size compare at the least
-    member one has and the other lacks, so the least block is greedy: walk
-    the fibers' members upwards and take each one that some reassignment
-    of the counts can still reach, given the members taken and passed over
-    so far.  That holds when the counts of the fibers still open, sorted
-    largest first, cover their members taken, sorted alike.  ``entries``
-    is least when it passes over no such member.
-    """
-    opened = {class_of[x] for x in entries[:a]}
-    counts = Counter(class_of[x] for x in entries[a:])
-    for twin in twins:
-        fibers = [i for i in twin if i not in opened]
-        if len({counts[i] for i in fibers} - {0}) < 2:
-            continue  # the opening order already makes this spread least
-        taken = dict.fromkeys(fibers, 0)  # members reached so far, per fiber still open
-        for x in sorted(x for i in fibers for x in members[i]):
-            i = class_of[x]
-            if i not in taken:
-                continue
-            taken[i] += 1
-            if taken[i] <= counts[i]:
-                continue
-            need = sorted(taken.values(), reverse=True)
-            have = sorted((counts[j] for j in taken), reverse=True)
-            if all(map(int.__ge__, have, need)):
-                return False  # another spread takes x
-            del taken[i]
-    return True
 
 
 @dataclass(frozen=True)

@@ -10,35 +10,42 @@ defining equation
 literally.  Agreement between the two routes on exhaustive small slices is
 the main correctness evidence for both.
 
-The search scans ``Z`` ascending, then ``C``, then ``xi1`` in enumeration
-order; for each ``xi1`` the discarding side is resolved with the smallest
-feasible ``D`` and the lexicographically least ``xi2``, so the returned
-witness is the first one in that fixed order.  The set theories are the
+The search tries the candidates ``(Z, C, xi1)`` that
+``theory.candidates(f, g, bounds)`` yields, and nothing else.  The plain
+scan, ``TheoryInstance.candidates``, takes ``Z`` ascending, then ``C``,
+then every free ``xi1`` in enumeration order.  For each ``xi1`` the
+discarding side is resolved with the smallest feasible ``D`` and the
+lexicographically least ``xi2``, so the returned witness is the first one
+in that fixed order.  The set theories are the
 :class:`~pcdres.convert.TheoryVariant` members themselves; they build that
 ``xi2`` in one pass, each point of ``cod(f) + Z`` taking its forced image or
 the least value still free to it (proof in ``TheoryVariant.solve_discard``).
-The relational theory falls back to plain enumeration of free morphisms.
+The relational theory keeps the plain scan and the plain enumeration of
+free morphisms.
 
-The set theories skip, from sizes alone, every level ``(Z, C)`` that
-holds no free ``xi1 : A + C -> dom(f) + Z`` or, for every ``D <= max_d``,
-no free ``xi2 : cod(f) + Z -> cod(g) + D`` (``TheoryInstance.levels``).
-With ``A = dom(g)`` and ``spare = cod(f) + Z - cod(g)``, set-bij scans
-only ``C = dom(f) + Z - A`` and only while ``0 <= spare <= max_d``; set-inj
-scans every ``C <= dom(f) + Z - A`` while ``spare <= max_d``.
-``solve_discard`` rejects every candidate of a skipped level for exactly
-these reasons, so the first witness is unchanged.  Since the levels read
-only sizes, ``convert._level_plan`` caches them as a plan keyed by
-``dom(f) - dom(g)``, ``cod(f) - cod(g)`` and the bounds.  A plan keeps up
-to ``convert._KEPT_LEVELS`` (128) levels and the cache up to 128 plans,
-about 1 MiB in all; a search that gets past a plan's last level streams
-the rest from the same scan, so huge bounds cost no memory.  The
-search walks the plan in one flat loop and builds ``f + 1_Z`` only when a
-``Z`` yields its first wiring to try, so a level with no filed wiring
-costs only the cached lookups of ``xi1_candidates``, and a negative
-search never pads.
+The search contract: a theory's ``candidates`` may leave out candidates
+and keep the rest in the plain scan's order, provided it keeps the first
+candidate of the plain scan that solves.  The witness is then unchanged,
+since every candidate kept before that one is also before it in the plain
+scan, hence does not solve.  The set theories leave out three kinds.
 
-They also skip most wirings ``xi1`` (``TheoryInstance.xi1_candidates``),
-by four symmetries of the equation and one filter.  The symmetries:
+Levels.  They skip, from sizes alone, every level ``(Z, C)`` that holds no
+free ``xi1 : A + C -> dom(f) + Z`` or, for every ``D <= max_d``, no free
+``xi2 : cod(f) + Z -> cod(g) + D``.  With ``A = dom(g)`` and
+``spare = cod(f) + Z - cod(g)``, set-bij scans only ``C = dom(f) + Z - A``
+and only while ``0 <= spare <= max_d``; set-inj scans every
+``C <= dom(f) + Z - A`` while ``spare <= max_d``.  ``solve_discard``
+rejects every candidate of a skipped level for exactly these reasons.
+Since the levels read only sizes, ``convert._level_plan`` caches them as a
+plan keyed by ``dom(f) - dom(g)``, ``cod(f) - cod(g)`` and the bounds.  A
+plan keeps up to ``convert._KEPT_LEVELS`` (128) levels and the cache up to
+128 plans, about 1 MiB in all; a search that gets past a plan's last level
+streams the rest from the same scan, so huge bounds cost no memory.  The
+search builds ``f + 1_Z`` only when a ``Z`` yields its first wiring to
+try, so a level with no filed wiring costs only a shape test and two
+cached lookups, and a negative search never pads.
+
+Orbits.  Four symmetries of the equation act on the wirings ``xi1``:
 
 1. permuting the points of ``dom(f)`` inside one fiber of ``f``;
 2. permuting the class made of every singleton-fiber point of ``f``
@@ -54,49 +61,42 @@ image and ``t`` carry their codomain points along, so that
 ``f . s = t . f``.  If ``xi2 . (f + 1_Z) . xi1 = g + j``, then
 ``xi2 . (t^-1 + 1_Z)`` is free, has the same ``D``, and solves for
 ``(s + 1_Z) . xi1``.  So each symmetry sends a solvable ``xi1`` to a
-solvable one at the same ``(Z, C, D)``.  The scan keeps the ``xi1`` least
-in lexicographic order within their orbit: the i-th use of each class is
-its i-th smallest member, a fiber is first used only after the fiber of
-its size with the next smaller first member, the images of the ``C`` block
-increase, and the ``C`` block spreads its uses over the fibers of one size
-in the least way (isomorph-free generation, as in McKay, J. Algorithms
-1998).  Proof that the witness is unchanged: the whole orbit of a solvable
-``xi1`` is solvable, so the first solvable ``xi1`` in the plain scan is
-least in its orbit and is kept; every kept ``xi1`` before it was also in
-the plain scan before it, hence not solvable.  The classes are read from
+solvable one at the same ``(Z, C, D)``, and the first solvable ``xi1`` of
+the plain scan is least in lexicographic order within its orbit.  The scan
+``convert._scan_xi1`` keeps every orbit's least wiring, and where a junk
+block of three or more inputs meets unused fibers of one size, some others
+of its orbit: the i-th use of each class is its i-th smallest member, a
+fiber is first used only after the fiber of its size with the next smaller
+first member, and the images of the ``C`` block increase (isomorph-free
+generation, as in McKay, J. Algorithms 1998).  The classes are read from
 the fiber partition of ``f.map``, never from profile counts, so the search
 stays independent of :func:`pcdres.convert.decide`.
 
-5. Of the orbit-least wirings they try only those that solve.
-   ``m = (f + 1_Z) . xi1`` joins two inputs exactly when their images lie
-   in one fiber of ``f + 1_Z``, where each singleton-fiber point and each
-   ``Z`` point is a fiber of its own.  ``solve_discard`` makes three
-   tests, and each reads only those fibers.  The forced images
-   ``xi2(m(i)) = g(i)`` of the g-block (the first ``|A|`` inputs) neither
-   conflict (``m`` joins two inputs that ``g`` parts) nor merge (``g``
-   joins two inputs that ``m`` parts) exactly when the fibers the g-block
-   hits, each named by its rank of first use, form the same pattern as
-   ``g.map``.  No forced point is also a junk image exactly when the junk
-   block hits no fiber the g-block hits.  And with ``junk`` the number of
-   fibers the junk block hits, the least ``D`` is
-   ``max(cod(f) + Z - cod(g), junk, 0)``; it must not pass ``max_d``, and
-   under set-bij it must equal ``cod(f) + Z - cod(g)``.  When all three
-   hold, ``solve_discard`` returns a witness (proof in its docstring).  So
-   ``convert._xi1_index`` files each orbit-least wiring of a shape once,
-   in scan order, under its g-block's pattern and with its ``junk``
-   count, and drops those whose two blocks share a fiber; a search reads
-   only the wirings filed under ``g``'s pattern whose ``junk`` passes the
-   rule on ``D``.  Proof that the witness is unchanged: the wirings left
-   out are exactly those ``solve_discard`` rejects and the rest keep their
-   scan order, so the first wiring tried is the first one the orbit scan
-   would solve, and ``compose`` and ``solve_discard`` still build the
-   witness from it.  A positive search therefore calls ``solve_discard``
-   once and a negative one never.  Like the classes, the index reads only
-   ``f``'s fiber partition and ``g``'s map and sizes.
-
-The index keeps a shape's wirings up to ``convert._KEPT_XI1`` (16,384) of
-them; a larger shape streams them from the same scan, in the same order,
-through the same test, so memory stays bounded.
+Wirings that do not solve.  ``m = (f + 1_Z) . xi1`` joins two inputs
+exactly when their images lie in one fiber of ``f + 1_Z``, where each
+singleton-fiber point and each ``Z`` point is a fiber of its own.
+``solve_discard`` makes three tests, and each reads only those fibers.  The
+forced images ``xi2(m(i)) = g(i)`` of the g-block (the first ``|A|``
+inputs) neither conflict (``m`` joins two inputs that ``g`` parts) nor
+merge (``g`` joins two inputs that ``m`` parts) exactly when the fibers the
+g-block hits, each named by its rank of first use, form the same pattern as
+``g.map``.  No forced point is also a junk image exactly when the junk
+block hits no fiber the g-block hits.  And with ``junk`` the number of
+fibers the junk block hits, the least ``D`` is
+``max(cod(f) + Z - cod(g), junk, 0)``; it must not pass ``max_d``, and
+under set-bij it must equal ``cod(f) + Z - cod(g)``
+(``TheoryVariant._junk_limit``).  When all three hold, ``solve_discard``
+returns a witness (proof in its docstring).  So ``convert._xi1_index``
+files each wiring the orbit scan keeps once, in scan order, under its
+g-block's pattern and with its ``junk`` count, and drops those whose two
+blocks share a fiber; a search reads only the wirings filed under ``g``'s
+pattern whose ``junk`` passes the rule on ``D``.  A positive search
+therefore calls ``solve_discard`` once and a negative one never.  Like the
+classes, the index reads only ``f``'s fiber partition and ``g``'s map and
+sizes.  It keeps a shape's wirings up to ``convert._KEPT_XI1`` (16,384) of
+them and caches None for a larger shape, whose wirings the search streams
+from the same scan, in the same order, through the same test, so memory
+stays bounded.
 
 Everything here also works for the relational theory over cartesian
 products, whose free morphisms are graphs of functions.  That theory orders
@@ -232,17 +232,15 @@ def oracle_convertible(
     """Search for a conversion witness within ``bounds``; None if none exists there."""
     if bounds is None:
         bounds = default_bounds(f, g)
-    max_d = bounds.max_d
-    padded_z = padded = None
-    for z, c in theory.levels(f, g, bounds):
-        z_obj = FinSet(z)
-        for xi1 in theory.xi1_candidates(f, z_obj, g, FinSet(c), max_d):
-            if padded_z != z:
-                padded_z, padded = z, theory.pad(f, z_obj)
-            found = theory.solve_discard(theory.compose(padded, xi1), g, c, max_d)
-            if found is not None:
-                xi2, j = found
-                return Witness(z_obj, xi1, xi2, j)
+    z_obj = padded = None
+    for z, c, xi1 in theory.candidates(f, g, bounds):
+        if z_obj is None or z_obj.size != z:
+            z_obj = FinSet(z)
+            padded = theory.pad(f, z_obj)
+        found = theory.solve_discard(theory.compose(padded, xi1), g, c, bounds.max_d)
+        if found is not None:
+            xi2, j = found
+            return Witness(z_obj, xi1, xi2, j)
     return None
 
 

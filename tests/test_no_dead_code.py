@@ -2,9 +2,10 @@
 
 An imported name is used when the importing module reads it; in
 ``__init__.py`` a name listed in ``__all__`` counts as used.  A private
-top-level function or class (its name starts with ``_``) is used when some
-module under ``src/pcdres`` reads its name outside its own definition, as a
-name, an attribute or an imported name.
+definition (its name starts with ``_`` and is not a dunder) is a top-level
+function, class or assignment, or a method in a class body.  It is used
+when some module under ``src/pcdres`` reads its name outside its own
+definition, as a name, an attribute or an imported name.
 """
 
 import ast
@@ -57,17 +58,37 @@ def _reads(node: ast.AST, skip: ast.AST | None = None):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _definitions(tree: ast.Module):
+    """``(name, node)`` for each top-level def, class or assignment and each method."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions):
+                    yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
-    """``module:name`` for each private top-level function or class read nowhere."""
+    """``module:name`` for each private definition read nowhere."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not (isinstance(node, kinds) and node.name.startswith("_")):
+        for name, node in _definitions(tree):
+            if not _private(name):
                 continue
-            if not any(node.name in _reads(t, skip=node) for t in trees.values()):
-                unused.append(f"{module}:{node.name}")
+            if not any(name in _reads(t, skip=node) for t in trees.values()):
+                unused.append(f"{module}:{name}")
     return unused
 
 
@@ -81,13 +102,24 @@ def test_detectors_find_unused_imports_and_private_helpers():
         "def _dead():\n"
         "    return _dead\n"
         "class _Kept:\n"
-        "    pass\n"
+        "    def __init__(self):\n"
+        "        self._read()\n"
+        "    def _read(self):\n"
+        "        return _LIMIT\n"
+        "    def _unread(self):\n"
+        "        return _unread\n"
+        "_LIMIT = 1 << 4\n"
+        "_CACHE: dict = {}\n"
+        "_alias = _used\n"
+        "__all__ = ['_Kept']\n"
     )
     other = "from .mod import _Kept\nx = mod._used\n"
     assert unused_imports(source) == ["_compose:3", "os:2"]
     assert unused_imports("from .m import a, b\n__all__ = ['a']\n") == ["b:1"]
     sources = {"mod": source, "other": other}
-    assert unused_private_definitions(sources) == ["mod:_dead"]
+    assert unused_private_definitions(sources) == [
+        "mod:_dead", "mod:_unread", "mod:_CACHE", "mod:_alias"
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -12,7 +12,9 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 
@@ -71,10 +73,26 @@ class NaiveTheory(Wrapped):
     solve_discard = TheoryInstance.solve_discard
 
 
-class PlainScan(Wrapped):
-    """Same theory, but the search tries every free ``xi1``, not one per orbit."""
+def planned_levels(variant, f, g, bounds):
+    """The levels the set theories' search scans, read from their plan."""
+    kept, more = _level_plan(
+        variant, f.dom.size - g.dom.size, f.cod.size - g.cod.size,
+        bounds.max_z, bounds.max_c, bounds.max_d,
+    )
+    assert not more
+    return kept
 
-    xi1_candidates = TheoryInstance.xi1_candidates
+
+class PlainScan(Wrapped):
+    """Same theory, but the search tries every free ``xi1`` on its levels."""
+
+    def candidates(self, f, g, bounds):
+        for z, c in planned_levels(self.theory, f, g, bounds):
+            for xi1 in self.wirings(f, z, g.dom.size, c):
+                yield z, c, xi1
+
+    def wirings(self, f, z, a, c):
+        return self.free_morphisms(a + c, f.dom.size + z)
 
 
 @lru_cache(maxsize=None)
@@ -86,15 +104,15 @@ def _orbit_scan(variant, classes, z, a, c):
 
 
 def orbit_scan(variant, f, z, a, c):
-    """Every free ``xi1 : a + c -> dom(f) + z`` least in its orbit, solvable or not."""
+    """The free ``xi1 : a + c -> dom(f) + z`` the orbit scan keeps, solvable or not."""
     return _orbit_scan(variant, _fiber_classes(f.map), z, a, c)
 
 
-class OrbitScan(Wrapped):
-    """Same theory, but the search tries every orbit-least ``xi1``, unfiltered."""
+class OrbitScan(PlainScan):
+    """Same theory, but the search tries every ``xi1`` the orbit scan keeps, unfiltered."""
 
-    def xi1_candidates(self, f, z, g, c, max_d):
-        return orbit_scan(self.theory, f, z.size, g.dom.size, c.size)
+    def wirings(self, f, z, a, c):
+        return orbit_scan(self.theory, f, z, a, c)
 
 
 class Counted(Wrapped):
@@ -251,10 +269,12 @@ def test_indexed_search_matches_orbit_scan(monkeypatch):
             assert got == want, (kept, bounds, variant, f, g)
             tally[got is not None][counted.calls, counted.pads] += 1
         assert tally == {True: {(1, 1): 9587}, False: {(0, 0): 12013}}
-        # a call that streams raises out of the cache, so it counts as a
-        # miss and stores nothing
+        # every shape is indexed once; a streamed one caches None, no wirings
         info = _xi1_index.cache_info()
-        assert (info.misses == info.currsize) if kept else (info.misses > info.currsize)
+        assert info.misses == info.currsize
+        index = _xi1_index(_fiber_classes((0, 0, 1)), 0, 1, 0)
+        assert _xi1_index.cache_info().hits == info.hits + 1
+        assert (index is not None) == kept
     _xi1_index.cache_clear()
 
 
@@ -356,15 +376,21 @@ TWIN_FIBERS = [
 def test_xi1_candidates_are_the_orbit_representatives_across_equal_fibers():
     # fibers of equal size swap whole; a C block of three or more inputs
     # can spread its uses over them unevenly, which the opening order alone
-    # does not make least.  Z points only join the singleton class, which
-    # the test above covers, so Z = 0 here keeps the brute force quick.
+    # does not make least, so the scan may keep more than one map of such
+    # an orbit.  It must keep every orbit-least map, only free maps, and
+    # the plain scan's order.  Z points only join the singleton class,
+    # which the test above covers, so Z = 0 here keeps the brute force quick.
     cases = 0
     for f in TWIN_FIBERS:
         for variant in TheoryVariant:
             for a, c in itertools.product(range(3), range(3, 5)):
-                expected = _orbit_least_candidates(variant, f, 0, a, c)
+                plain = {m: i for i, m in enumerate(variant.free_morphisms(a + c, f.dom.size))}
                 got = orbit_scan(variant, f, 0, a, c)
-                assert list(got) == expected, (f, variant, a, c)
+                expected = _orbit_least_candidates(variant, f, 0, a, c)
+                assert set(expected) <= set(got), (f, variant, a, c)
+                assert all(variant.is_free(m) for m in got), (f, variant, a, c)
+                order = [plain[m] for m in got]
+                assert order == sorted(set(order)), (f, variant, a, c)
                 cases += len(expected)
     assert cases == 68
 
@@ -383,41 +409,47 @@ def test_equal_fibers_cut_the_wirings_of_f_equals_g():
             assert got[0] == identity(f.dom)
             # with g = f the wirings that solve send fibers onto fibers,
             # and they form one orbit
-            assert list(variant.xi1_candidates(f, FinSet(0), f, FinSet(0), 0)) == [got[0]]
+            assert list(variant.candidates(f, f, SearchBounds(0, 0, 0))) == [(0, 0, got[0])]
 
 
 def test_large_shapes_stream_in_the_cached_order(monkeypatch):
     f = _fibers_of_two(4)
-    z, c = FinSet(1), FinSet(3)
+    classes = _fiber_classes(f.map)
     assert len(orbit_scan(TheoryVariant.SET_INJ, f, 1, 6, 3)) == 210
     # one g per way the six inputs can hit fibers of f + 1_Z: each
     # partition of six points into blocks of at most two
     patterns = {_first_use(m) for m in itertools.product(range(6), repeat=6)}
     gs = [FinFun.from_map(p, 6) for p in patterns if max(Counter(p).values()) <= 2]
     assert len(gs) == 76
-    requests = [(g, max_d) for g in gs for max_d in (2, 6)]
+    # levels up to Z = 1, C = 3, the shape above
+    requests = [(g, SearchBounds(1, 3, max_d)) for g in gs for max_d in (2, 6)]
 
     def candidates():
-        return [list(TheoryVariant.SET_INJ.xi1_candidates(f, z, g, c, d)) for g, d in requests]
+        return [list(TheoryVariant.SET_INJ.candidates(f, g, b)) for g, b in requests]
 
     _xi1_index.cache_clear()
     cached = candidates()
-    assert _xi1_index.cache_info().currsize == 1
-    assert sum(map(len, cached)) > 10
+    assert sum(1 for found in cached for z, c, _ in found if (z, c) == (1, 3)) > 10
+    assert _xi1_index(classes, 1, 6, 3) is not None
     _xi1_index.cache_clear()
     monkeypatch.setattr(convert, "_KEPT_XI1", 10)
     assert candidates() == cached
-    assert _xi1_index.cache_info().currsize == 0
+    # the shape past the cap caches None, and no wirings
+    hits = _xi1_index.cache_info().hits
+    assert _xi1_index(classes, 1, 6, 3) is None
+    assert _xi1_index.cache_info().hits == hits + 1
     # a shape within the cap is still kept
-    g = FinFun.from_map([0], 1)
-    assert list(TheoryVariant.SET_INJ.xi1_candidates(f, FinSet(0), g, FinSet(0), 3))
-    assert _xi1_index.cache_info().currsize == 1
+    assert list(TheoryVariant.SET_INJ.candidates(f, POINT, SearchBounds(0, 0, 3)))
+    assert _xi1_index(classes, 0, 1, 0)
 
 
 class PlainLevels(Wrapped):
     """Same theory, but the search scans every level within bounds."""
 
-    levels = TheoryInstance.levels
+    def candidates(self, f, g, bounds):
+        every = tuple(itertools.product(range(bounds.max_z + 1), range(bounds.max_c + 1)))
+        with mock.patch.object(convert, "_level_plan", lambda *sizes: (every, False)):
+            yield from self.theory.candidates(f, g, bounds)
 
 
 def test_level_pruning_keeps_the_first_witness():
@@ -437,12 +469,6 @@ def test_level_pruning_keeps_the_first_witness():
                 for g in small:
                     expected = oracle_convertible(plain, f, g, bounds)
                     assert oracle_convertible(variant, f, g, bounds) == expected, (bounds, f, g)
-    rels = list(all_relations(1))
-    plain = PlainLevels(REL_TIMES_THEORY)
-    for f in rels:
-        for g in rels:
-            expected = oracle_convertible(plain, f, g)
-            assert oracle_convertible(REL_TIMES_THEORY, f, g) == expected
 
 
 def reference_levels(variant, f, g, bounds):
@@ -476,30 +502,37 @@ def test_level_plan_matches_the_plain_scan():
             for f in shapes:
                 for g in shapes:
                     expected = list(reference_levels(variant, f, g, bounds))
-                    assert list(variant.levels(f, g, bounds)) == expected, (bounds, f, g)
+                    assert list(planned_levels(variant, f, g, bounds)) == expected, (bounds, f, g)
                     # a second search reads the cached plan
-                    assert list(variant.levels(f, g, bounds)) == expected
+                    assert list(planned_levels(variant, f, g, bounds)) == expected
 
 
 def test_huge_bounds_stream_levels_past_the_plan(monkeypatch):
     huge = SearchBounds(10**6, 10**6, 10**6)
     f, g = FinFun.from_map([0, 0, 1], 2), POINT
+    room, spare = f.dom.size - g.dom.size, f.cod.size - g.cod.size
     _level_plan.cache_clear()
     tracemalloc.start()
     try:
-        first = list(itertools.islice(TheoryVariant.SET_INJ.levels(f, g, huge), 100))
+        kept, more = _level_plan(TheoryVariant.SET_INJ, room, spare, *astuple(huge))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == list(itertools.islice(reference_levels(TheoryVariant.SET_INJ, f, g, huge), 100))
+    assert more and len(kept) == convert._KEPT_LEVELS
+    reference = reference_levels(TheoryVariant.SET_INJ, f, g, huge)
+    assert kept == tuple(itertools.islice(reference, 128))
     assert peak < 2**20
-    # past a plan's last level the scan streams on in the same order
-    monkeypatch.setattr(convert, "_KEPT_LEVELS", 5)
-    _level_plan.cache_clear()
+    # past a plan's last level the search streams on in the same order
+    first = {}
     for bounds in (huge, SearchBounds(3, 6, 6)):
         for variant in TheoryVariant:
-            got = list(itertools.islice(variant.levels(f, g, bounds), 40))
-            assert got == list(itertools.islice(reference_levels(variant, f, g, bounds), 40))
+            first[bounds, variant] = list(itertools.islice(variant.candidates(f, g, bounds), 400))
+    # they reach past the last level of a five-level plan
+    assert {(z, c) for z, c, _ in first[huge, TheoryVariant.SET_INJ]} >= set(kept[:10])
+    monkeypatch.setattr(convert, "_KEPT_LEVELS", 5)
+    _level_plan.cache_clear()
+    for (bounds, variant), expected in first.items():
+        assert list(itertools.islice(variant.candidates(f, g, bounds), 400)) == expected
     monkeypatch.undo()
     _level_plan.cache_clear()
     # the second pair's set-bij witness needs Z = 2, C = 2 and D = 1
