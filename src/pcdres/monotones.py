@@ -28,10 +28,17 @@ limit 3 the first screen builds these tables and later screens reuse them,
 with the wirings kept as rows of process indices, so the monotonicity test
 compares two stored values per wiring.  Above size limit 3 each screen
 builds its own, the unions and wirings one at a time, because size limit 4
-already has 249,001 unions.
+already has 249,001 unions.  A union whose value equals the sum of its
+parts' values exactly passes additivity without the tolerance arithmetic;
+that shortcut is taken only when every value is a float and no such sum
+can be infinite, since ``inf == inf`` though ``inf - inf`` fails the
+tolerance test.
 :func:`induce_monotone` packages a passing measure as a function of normal
 forms; :func:`check_complete_family` tests whether a family of passing
-measures jointly characterizes convertibility.
+measures jointly characterizes convertibility, comparing classes of
+processes with equal dense normal forms and equal values rather than pairs
+of processes.  All three reject a tolerance that is not a finite
+non-negative number with :class:`ValueError`.
 
 The built-in registry carries the multiplicity and tail counts ``phi_i`` and
 ``gamma_i`` for ``i <= 8`` together with deliberate non-monotones (``phi_1``,
@@ -43,6 +50,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import numbers
 import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -60,6 +69,20 @@ from .finset import (
 from .profiles import Profile, size_counts
 
 TOLERANCE = 1e-9
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Reject a ``tolerance`` that is not a finite non-negative real number.
+
+    A negative or nan tolerance would fail every condition, and the screens'
+    exact-equality shortcut passes values a negative tolerance would fail.
+    """
+    if (
+        isinstance(tolerance, bool)
+        or not isinstance(tolerance, numbers.Real)
+        or not 0 <= tolerance < math.inf
+    ):
+        raise ValueError(f"tolerance must be a finite non-negative number, not {tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -223,12 +246,21 @@ def _check_additivity(
     tolerance: float,
 ) -> ConditionResult:
     sums = itertools.starmap(operator.add, itertools.product(values, repeat=2))
-    for k, (lhs, rhs) in enumerate(zip(map(fn, unions), sums)):
-        if not abs(lhs - rhs) <= tolerance:
+    # A union whose value equals its sum passes without the tolerance test.
+    # That holds only for finite float sums: inf == inf, but inf - inf is nan,
+    # which fails the test.  No sum of two floats exceeds twice the largest
+    # magnitude, and a nan sum equals nothing, so one bound covers them all.
+    exact = all(type(value) is float for value in values) and math.isfinite(
+        2 * max(map(abs, values), default=0.0)
+    )
+    k = 0
+    for lhs, rhs in zip(map(fn, unions), sums):
+        if (lhs != rhs or not exact) and not abs(lhs - rhs) <= tolerance:
             i, j = divmod(k, len(funs))
             return ConditionResult(
                 False, (funs[i], funs[j]), f"mu(f+g) = {lhs} but mu(f) + mu(g) = {rhs}"
             )
+        k += 1
     return ConditionResult(True)
 
 
@@ -287,7 +319,14 @@ def check_measure(
     and each free wiring as a row of process indices.  Above that each
     screen builds them one at a time, and the streamed unions carry their
     counts too.
+
+    A union whose value equals the sum of its parts' values passes
+    additivity on that one comparison when all the values are floats and no
+    such sum can be infinite; every other union takes the tolerance test.
+    ``tolerance`` must be a finite non-negative number, or
+    :class:`ValueError` is raised.
     """
+    _check_tolerance(tolerance)
     funs = _screened_processes(size_limit)
     if _keeps_tables(size_limit):
         unions = _kept_unions(size_limit)
@@ -328,7 +367,8 @@ def induce_monotone(
 
     The screen must pass at ``size_limit``, and ``mu`` must be constant on
     every enumerated class (equal normal forms); either failure raises
-    :class:`MeasureRejected`.
+    :class:`MeasureRejected`.  The screen rejects a ``tolerance`` that is
+    not a finite non-negative number with :class:`ValueError`.
     """
     report = check_measure(variant, mu, size_limit, tolerance)
     if not report.passed:
@@ -380,12 +420,20 @@ def check_complete_family(
 ) -> FamilyReport:
     """Test whether joint dominance of the measures coincides with ``decide``.
 
-    Each enumerated function's dense normal form is computed once and pairs
-    are compared with the dominance test :func:`decide` applies.
+    Each enumerated function's dense normal form and values are computed
+    once.  Functions with equal forms and equal values form a class, since
+    both ``decide`` and joint dominance see nothing else, and each ordered
+    pair of classes is compared once, with the dominance test :func:`decide`
+    applies.  Classes are taken in the order of their first members, so the
+    first failing pair of classes gives the first failing pair of functions
+    in enumeration order, and that pair is the counterexample.
 
-    Every member must individually pass :func:`check_measure`; a member that
-    does not is rejected up front rather than reported as incompleteness.
+    Every member must individually pass :func:`check_measure` on every call;
+    a member that does not is rejected up front rather than reported as
+    incompleteness.  ``tolerance`` must be a finite non-negative number, or
+    :class:`ValueError` is raised.
     """
+    _check_tolerance(tolerance)
     measures = tuple(measures)
     for mu in measures:
         report = check_measure(variant, mu, size_limit, tolerance)
@@ -397,8 +445,10 @@ def check_complete_family(
     funs = _screened_processes(size_limit)
     forms = [_dense_form(variant, f) for f in funs]
     values = [tuple(mu.fn(f) for mu in measures) for f in funs]
-    floors = [tuple(b - tolerance for b in vf) for vf in values]
-    rows = list(zip(funs, forms, values, floors))
+    first: dict[tuple[tuple[int, ...], tuple[float, ...]], FinFun] = {}
+    for f, form, vf in zip(funs, forms, values):
+        first.setdefault((tuple(form), vf), f)
+    rows = [(f, form, vf, tuple(b - tolerance for b in vf)) for (form, vf), f in first.items()]
     for (f, ff, vf, _), (g, fg, _, lg) in itertools.product(rows, repeat=2):
         dominates = all(map(operator.ge, vf, lg))
         if _dominates(ff, fg) == dominates:

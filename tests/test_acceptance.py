@@ -4,10 +4,15 @@ Each test prints one ``[criterion N] name: PASS/FAIL (x.x s, n cases)`` line
 with the seconds the criterion took and the number of cases it checked.  The file also runs standalone:
 
     python3 tests/test_acceptance.py
+
+which runs every criterion even after one fails, prints each verdict line
+(and the traceback of each failure on stderr), and exits 1 if any failed.
 """
 
 import itertools
+import sys
 import time
+import traceback
 
 from pcdres import (
     BUILTIN_MEASURES,
@@ -59,7 +64,8 @@ def _verdict(number: int, name: str, failures: list, started: float, cases: int)
         f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'} "
         f"({seconds:.1f} s, {cases} cases)"
     )
-    assert ok, f"criterion {number} ({name}): first failure: {failures[0]!r}"
+    if not ok:  # not an assert, which python -O would drop from the standalone run
+        raise AssertionError(f"criterion {number} ({name}): first failure: {failures[0]!r}")
 
 
 def _relations(max_size):
@@ -285,9 +291,25 @@ def test_criterion_9_profile_algebra():
     _verdict(9, "profile algebra", failures, started, cases)
 
 
-if __name__ == "__main__":
+def _run_all() -> int:
+    """Run every criterion, reporting each failure instead of stopping at it."""
+    failed = 0
     for fn in sorted(
         (v for k, v in globals().items() if k.startswith("test_criterion_")),
         key=lambda fn: fn.__name__,
     ):
-        fn()
+        try:
+            fn()
+        except AssertionError:  # _verdict has printed the FAIL line
+            failed += 1
+            traceback.print_exc()
+        except Exception as exc:  # the criterion crashed before its verdict
+            failed += 1
+            number = fn.__name__.split("_")[2]
+            print(f"[criterion {number}] {fn.__name__}: FAIL (raised {type(exc).__name__})")
+            traceback.print_exc()
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_run_all())

@@ -1,5 +1,6 @@
 """Screening additive measures and validating complete families."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -106,6 +107,31 @@ def test_tolerance_semantics():
     loud = CandidateMeasure("loud", lambda f: phi_profile(f)[2] + 1e-6)
     report = check_measure(BIJ, loud, 2)
     assert not report.unit.passed
+
+
+@pytest.mark.parametrize(
+    "tolerance", [-1.0, -1e-12, math.nan, math.inf, True, False, "1e-9", None, 1j]
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda t: check_measure(BIJ, BUILTIN_MEASURES["phi_2"], 2, tolerance=t),
+        lambda t: induce_monotone(BIJ, BUILTIN_MEASURES["phi_2"], 2, tolerance=t),
+        lambda t: check_complete_family(BIJ, [], 2, tolerance=t),
+    ],
+    ids=["check_measure", "induce_monotone", "check_complete_family"],
+)
+def test_tolerance_must_be_a_finite_non_negative_number(check, tolerance):
+    # a negative tolerance would fail every condition of a monotone, and a
+    # nan one everything, with no word on why
+    with pytest.raises(ValueError, match="tolerance"):
+        check(tolerance)
+
+
+def test_zero_and_integer_tolerances_are_accepted():
+    assert check_measure(BIJ, BUILTIN_MEASURES["phi_2"], 2, tolerance=0).passed
+    assert check_measure(BIJ, BUILTIN_MEASURES["phi_2"], 2, tolerance=1).passed
+    assert check_complete_family(BIJ, default_family(BIJ), 2, tolerance=0.0).passed
 
 
 def test_induced_monotone_values():
@@ -338,16 +364,19 @@ def test_family_check_matches_profile_reference(variant, monkeypatch):
         return screened[key]
 
     monkeypatch.setattr(monotones, "check_measure", screen_once)
-    families = [default_family(v) for v in (BIJ, INJ)]
+    families = [default_family(v) for v in (BIJ, INJ)] + [[]]
     families += [[mu] for mu in BUILTIN_MEASURES.values()]
-    for family in families:
-        expected = _reference_family(variant, family, 3)
-        try:
-            report = check_complete_family(variant, family, 3)
-        except MeasureRejected as exc:
-            assert str(exc) == expected
-        else:
-            assert (report.passed, report.counterexample, report.note) == expected
+    families += [list(pair) for pair in itertools.combinations(BUILTIN_MEASURES.values(), 2)]
+    references = [_reference_family(variant, family, 3) for family in families]
+    for kept_unions in (monotones._KEPT_UNIONS, 0):  # kept, then streamed processes
+        monkeypatch.setattr(monotones, "_KEPT_UNIONS", kept_unions)
+        for family, expected in zip(families, references):
+            try:
+                report = check_complete_family(variant, family, 3)
+            except MeasureRejected as exc:
+                assert str(exc) == expected
+            else:
+                assert (report.passed, report.counterexample, report.note) == expected
 
 
 def test_measure_is_evaluated_once_per_process(monkeypatch):
@@ -399,6 +428,10 @@ def test_measures_cost_memory_in_domain(name, expected):
 
 # sees the order of the blocks in a union, which no fiber count does
 first_image = CandidateMeasure("first_image", lambda f: float(f.map[0]) if f.map else 0.0)
+# inf == inf, yet every union of a non-empty map must fail additivity
+inf_measure = CandidateMeasure("inf", lambda f: math.inf if f.map else 0.0)
+# never equal to its pairwise sum, always within the default tolerance of it
+near_tolerance = CandidateMeasure("near_tolerance", lambda f: phi_profile(f)[2] + 9e-10)
 
 
 def _screens():
@@ -412,7 +445,7 @@ def _screens():
     for size_limit in range(4):
         n = len(list(enumerate_all_functions(size_limit)))
         for variant in (BIJ, INJ):
-            for mu in SCREENED + [neg_phi_0, nan_measure, first_image]:
+            for mu in SCREENED + [neg_phi_0, nan_measure, first_image, inf_measure, near_tolerance]:
                 calls = []
                 counted = CandidateMeasure(mu.name, lambda f, fn=mu.fn: calls.append(f) or fn(f))
                 report = check_measure(variant, counted, size_limit)
@@ -440,6 +473,11 @@ def _kept_table_counts():
     return [table.cache_info().currsize for table in KEPT_TABLES]
 
 
+# SHA-256 of the newline-joined _screens(), as the plain pairwise screen and
+# family check render them
+SCREENS_SHA256 = "545bd79bd470a84fdbf1514a74c88c861f0fa2f4260008f6ab7757d97c989b3f"
+
+
 def test_kept_and_streamed_unions_screen_alike(monkeypatch):
     _clear_kept_tables()
     kept = _screens()
@@ -451,6 +489,8 @@ def test_kept_and_streamed_unions_screen_alike(monkeypatch):
         streamed = _screens()
     assert _kept_table_counts() == [0, 0, 0]
     assert streamed == kept
+    # a change that alters both paths alike shows here
+    assert hashlib.sha256("\n".join(kept).encode()).hexdigest() == SCREENS_SHA256
 
 
 def test_kept_unions_stay_bounded(monkeypatch):
