@@ -167,6 +167,8 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         return FinSet(x.size + y.size)
 
     def pad(self, f: FinFun, z: FinSet) -> FinFun:
+        if not z.size:
+            return f  # f + 1_0 is f
         n = f.cod.size
         return FinFun._trusted(
             FinSet(f.dom.size + z.size), FinSet(n + z.size), f.map + tuple(range(n, n + z.size))
@@ -186,50 +188,21 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         return iter(_free_funs(self, getattr(dom, "size", dom), getattr(cod, "size", cod)))
 
     def candidates(self, f: FinFun, g: FinFun, bounds) -> Iterator[tuple[int, int, FinFun]]:
-        """The planned levels' filed wirings, in scan order.
+        """The stream of :func:`_candidate_stream`, its first element cached.
 
-        The levels come from :func:`_level_plan`, streamed on from
-        :func:`_scan_levels` past its end; the plan is keyed by sizes, so
-        they depend on ``dom(f)``, ``cod(f)``, ``dom(g)``, ``cod(g)`` and
-        ``bounds`` alone.  On each level that has a free ``xi1``, the
-        wirings :func:`_xi1_index` files under ``g``'s pattern whose junk
-        count passes :meth:`_junk_limit`; a shape too large to file
-        streams through the same test.  The tests on each level hold for
-        any level, planned or not.  The symmetries, the filter and the
-        proof that the first witness is unchanged are in the
-        :mod:`pcdres.oracle` docstring.
+        The stream reads ``f`` and ``g`` only through ``f``'s fiber
+        classes, ``g``'s first-use pattern and ``cod(f) - cod(g)``, so
+        those and the bounds key it.  Its first element comes from
+        :func:`_first_candidate`; the rest is streamed only if pulled.
         """
-        sizes = (
-            self, f.dom.size - g.dom.size, f.cod.size - g.cod.size,
+        key = (
+            self, _fiber_classes(f.map), _map_pattern(g.map), f.cod.size - g.cod.size,
             bounds.max_z, bounds.max_c, bounds.max_d,
         )
-        levels, more = _level_plan(*sizes)
-        if more:
-            streamed = itertools.islice(_scan_levels(*sizes), _KEPT_LEVELS, None)
-            levels = itertools.chain(levels, streamed)
-        want, classes = _map_pattern(g.map), _fiber_classes(f.map)
-        a, spare, max_d = g.dom.size, f.cod.size - g.cod.size, bounds.max_d
-        bij = self is TheoryVariant.SET_BIJ
-        for z, c in levels:
-            room = len(classes) + z - a - c
-            if room < 0 or (bij and room):
-                continue  # no free xi1 of this shape
-            index = _xi1_index(classes, z, a, c)
-            if index is None:  # too many wirings to keep: stream them
-                limit = self._junk_limit(spare + z, max_d)
-                for pattern, junk, xi1 in _filed(_scan_xi1(classes, z, a, c), classes, z, a):
-                    if pattern == want and junk <= limit:
-                        yield z, c, xi1
-                continue
-            filed = index.get(want)
-            if filed is None:
-                continue  # no wiring of this shape meets g's pattern
-            top, wirings, junks = filed
-            limit = self._junk_limit(spare + z, max_d)
-            if top > limit:
-                wirings = itertools.compress(wirings, [junk <= limit for junk in junks])
-            for xi1 in wirings:
-                yield z, c, xi1
+        first = _first_candidate(*key)
+        if first is None:
+            return iter(())
+        return itertools.chain((first,), itertools.islice(_candidate_stream(*key), 1, None))
 
     def _junk_limit(self, spare: int, max_d: int) -> int:
         """The most junk fibers a solvable wiring may hit, or -1 if none solves.
@@ -306,6 +279,86 @@ def _free_funs(variant: TheoryVariant, dom_size: int, cod_size: int) -> tuple[Fi
     if variant is TheoryVariant.SET_BIJ:
         return tuple(enumerate_bijections(dom_size, cod_size))
     return tuple(enumerate_injections(dom_size, cod_size))
+
+
+def _candidate_stream(
+    variant: TheoryVariant,
+    classes: tuple[int, ...],
+    want: tuple[int, ...],
+    spare: int,
+    max_z: int,
+    max_c: int,
+    max_d: int,
+) -> Iterator[tuple[int, int, FinFun]]:
+    """The planned levels' filed wirings, in scan order.
+
+    ``classes`` is ``f``'s :func:`_fiber_classes`, ``want`` is ``g``'s
+    :func:`_map_pattern` and ``spare = cod(f) - cod(g)``; ``dom(f)`` and
+    ``dom(g)`` are their lengths.  The levels come from :func:`_level_plan`,
+    streamed on from :func:`_scan_levels` past its end; the plan is keyed
+    by sizes and bounds alone.  On each level that has a free ``xi1``, the
+    wirings :func:`_xi1_index` files under ``want`` whose junk count passes
+    :meth:`TheoryVariant._junk_limit`; a shape too large to file streams
+    through the same test.  The tests on each level hold for any level,
+    planned or not.  The symmetries, the filter and the proof that the
+    first witness is unchanged are in the :mod:`pcdres.oracle` docstring.
+    """
+    a = len(want)
+    sizes = (variant, len(classes) - a, spare, max_z, max_c, max_d)
+    levels, more = _level_plan(*sizes)
+    if more:
+        levels = itertools.chain(levels, itertools.islice(_scan_levels(*sizes), _KEPT_LEVELS, None))
+    bij = variant is TheoryVariant.SET_BIJ
+    for z, c in levels:
+        room = len(classes) + z - a - c
+        if room < 0 or (bij and room):
+            continue  # no free xi1 of this shape
+        index = _xi1_index(classes, z, a, c)
+        if index is None:  # too many wirings to keep: stream them
+            limit = variant._junk_limit(spare + z, max_d)
+            for pattern, junk, xi1 in _filed(_scan_xi1(classes, z, a, c), classes, z, a):
+                if pattern == want and junk <= limit:
+                    yield z, c, xi1
+            continue
+        filed = index.get(want)
+        if filed is None:
+            continue  # no wiring of this shape meets g's pattern
+        top, wirings, junks = filed
+        limit = variant._junk_limit(spare + z, max_d)
+        if top > limit:
+            wirings = itertools.compress(wirings, [junk <= limit for junk in junks])
+        for xi1 in wirings:
+            yield z, c, xi1
+
+
+# The most first candidates kept.  Under tracemalloc an entry takes about
+# 216 bytes where entries share their key tuples (the size <= 3 searches)
+# and about 260 where each brings its own (fresh maps of up to five
+# points), so a full cache takes 0.9-1.1 MiB.
+_KEPT_FIRSTS = 1 << 12
+
+
+@lru_cache(maxsize=_KEPT_FIRSTS)
+def _first_candidate(
+    variant: TheoryVariant,
+    classes: tuple[int, ...],
+    want: tuple[int, ...],
+    spare: int,
+    max_z: int,
+    max_c: int,
+    max_d: int,
+) -> tuple[int, int, FinFun] | None:
+    """The first element of :func:`_candidate_stream`, or None if it is empty.
+
+    The key is exact: the stream reads nothing but these arguments.  Every
+    wiring the stream yields passes the three tests on which
+    ``solve_discard`` accepts, so the first one solves and gives the
+    search's witness, and an empty stream is a negative search.  A
+    search's answer is therefore one lookup here when the key was seen;
+    the size <= 3 searches at bounds (3, 6, 6), 7,200 of them, share 630
+    keys.  The cache keeps ``_KEPT_FIRSTS`` (4,096) entries, about 1 MiB.
+    """
+    return next(_candidate_stream(variant, classes, want, spare, max_z, max_c, max_d), None)
 
 
 def _scan_levels(

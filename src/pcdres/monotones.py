@@ -38,7 +38,8 @@ forms; :func:`check_complete_family` tests whether a family of passing
 measures jointly characterizes convertibility, comparing classes of
 processes with equal dense normal forms and equal values rather than pairs
 of processes.  All three reject a tolerance that is not a finite
-non-negative number with :class:`ValueError`.
+non-negative number, and a size limit that is not a non-negative ``int``,
+with :class:`ValueError`.
 
 The built-in registry carries the multiplicity and tail counts ``phi_i`` and
 ``gamma_i`` for ``i <= 8`` together with deliberate non-monotones (``phi_1``,
@@ -83,6 +84,16 @@ def _check_tolerance(tolerance: float) -> None:
         or not 0 <= tolerance < math.inf
     ):
         raise ValueError(f"tolerance must be a finite non-negative number, not {tolerance!r}")
+
+
+def _check_size_limit(size_limit: int) -> None:
+    """Reject a ``size_limit`` that is not a non-negative ``int`` (bools excluded).
+
+    A negative one would screen no process and pass, ``True`` would screen
+    as 1, and a float would fail deep in the enumeration.
+    """
+    if isinstance(size_limit, bool) or not isinstance(size_limit, int) or size_limit < 0:
+        raise ValueError(f"size limit must be a non-negative integer, not {size_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -324,8 +335,10 @@ def check_measure(
     additivity on that one comparison when all the values are floats and no
     such sum can be infinite; every other union takes the tolerance test.
     ``tolerance`` must be a finite non-negative number, or
-    :class:`ValueError` is raised.
+    :class:`ValueError` is raised, as it is for a ``size_limit`` that is
+    not a non-negative ``int``.
     """
+    _check_size_limit(size_limit)
     _check_tolerance(tolerance)
     funs = _screened_processes(size_limit)
     if _keeps_tables(size_limit):
@@ -368,7 +381,8 @@ def induce_monotone(
     The screen must pass at ``size_limit``, and ``mu`` must be constant on
     every enumerated class (equal normal forms); either failure raises
     :class:`MeasureRejected`.  The screen rejects a ``tolerance`` that is
-    not a finite non-negative number with :class:`ValueError`.
+    not a finite non-negative number, and a ``size_limit`` that is not a
+    non-negative ``int``, with :class:`ValueError`.
     """
     report = check_measure(variant, mu, size_limit, tolerance)
     if not report.passed:
@@ -430,9 +444,10 @@ def check_complete_family(
 
     Every member must individually pass :func:`check_measure` on every call;
     a member that does not is rejected up front rather than reported as
-    incompleteness.  ``tolerance`` must be a finite non-negative number, or
-    :class:`ValueError` is raised.
+    incompleteness.  ``tolerance`` must be a finite non-negative number and
+    ``size_limit`` a non-negative ``int``, or :class:`ValueError` is raised.
     """
+    _check_size_limit(size_limit)
     _check_tolerance(tolerance)
     measures = tuple(measures)
     for mu in measures:

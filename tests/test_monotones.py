@@ -128,6 +128,29 @@ def test_tolerance_must_be_a_finite_non_negative_number(check, tolerance):
         check(tolerance)
 
 
+@pytest.mark.parametrize("size_limit", [-1, -5, True, False, 1.5, 3.0, "3", None])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda n: check_measure(BIJ, BUILTIN_MEASURES["phi_1"], n),
+        lambda n: induce_monotone(BIJ, BUILTIN_MEASURES["phi_2"], n),
+        lambda n: check_complete_family(BIJ, default_family(BIJ), n),
+        lambda n: check_complete_family(BIJ, [], n),
+    ],
+    ids=["check_measure", "induce_monotone", "check_complete_family", "empty_family"],
+)
+def test_size_limit_must_be_a_non_negative_int(check, size_limit):
+    # a negative size limit screens no process, so even the negative
+    # control phi_1 would pass; True would screen as size limit 1
+    with pytest.raises(ValueError, match="size limit"):
+        check(size_limit)
+
+
+def test_size_limit_zero_is_accepted():
+    assert check_measure(BIJ, BUILTIN_MEASURES["phi_2"], 0).passed
+    assert check_complete_family(BIJ, [], 0).size_limit == 0
+
+
 def test_zero_and_integer_tolerances_are_accepted():
     assert check_measure(BIJ, BUILTIN_MEASURES["phi_2"], 2, tolerance=0).passed
     assert check_measure(BIJ, BUILTIN_MEASURES["phi_2"], 2, tolerance=1).passed

@@ -43,6 +43,7 @@ from pcdres import check_witness as verify_witness
 from pcdres import convert
 from pcdres.convert import (
     _fiber_classes,
+    _first_candidate,
     _first_use,
     _free_funs,
     _level_plan,
@@ -260,6 +261,7 @@ def test_indexed_search_matches_orbit_scan(monkeypatch):
     expected = [_witness_json(oracle_convertible(OrbitScan(v), f, g, b)) for b, v, f, g in cases]
     for kept in (True, False):
         _xi1_index.cache_clear()
+        _first_candidate.cache_clear()
         if not kept:
             monkeypatch.setattr(convert, "_KEPT_XI1", 0)
         tally = {True: Counter(), False: Counter()}
@@ -276,6 +278,7 @@ def test_indexed_search_matches_orbit_scan(monkeypatch):
         assert _xi1_index.cache_info().hits == info.hits + 1
         assert (index is not None) == kept
     _xi1_index.cache_clear()
+    _first_candidate.cache_clear()
 
 
 def _class_representatives(n):
@@ -428,10 +431,12 @@ def test_large_shapes_stream_in_the_cached_order(monkeypatch):
         return [list(TheoryVariant.SET_INJ.candidates(f, g, b)) for g, b in requests]
 
     _xi1_index.cache_clear()
+    _first_candidate.cache_clear()
     cached = candidates()
     assert sum(1 for found in cached for z, c, _ in found if (z, c) == (1, 3)) > 10
     assert _xi1_index(classes, 1, 6, 3) is not None
     _xi1_index.cache_clear()
+    _first_candidate.cache_clear()
     monkeypatch.setattr(convert, "_KEPT_XI1", 10)
     assert candidates() == cached
     # the shape past the cap caches None, and no wirings
@@ -441,6 +446,8 @@ def test_large_shapes_stream_in_the_cached_order(monkeypatch):
     # a shape within the cap is still kept
     assert list(TheoryVariant.SET_INJ.candidates(f, POINT, SearchBounds(0, 0, 3)))
     assert _xi1_index(classes, 0, 1, 0)
+    _xi1_index.cache_clear()
+    _first_candidate.cache_clear()
 
 
 class PlainLevels(Wrapped):
@@ -467,7 +474,11 @@ def test_level_pruning_keeps_the_first_witness():
             plain = PlainLevels(variant)
             for f in small + dom4:
                 for g in small:
+                    # each search fills its first candidate afresh, so neither
+                    # reads the one the other found
+                    _first_candidate.cache_clear()
                     expected = oracle_convertible(plain, f, g, bounds)
+                    _first_candidate.cache_clear()
                     assert oracle_convertible(variant, f, g, bounds) == expected, (bounds, f, g)
 
 
@@ -531,10 +542,12 @@ def test_huge_bounds_stream_levels_past_the_plan(monkeypatch):
     assert {(z, c) for z, c, _ in first[huge, TheoryVariant.SET_INJ]} >= set(kept[:10])
     monkeypatch.setattr(convert, "_KEPT_LEVELS", 5)
     _level_plan.cache_clear()
+    _first_candidate.cache_clear()
     for (bounds, variant), expected in first.items():
         assert list(itertools.islice(variant.candidates(f, g, bounds), 400)) == expected
     monkeypatch.undo()
     _level_plan.cache_clear()
+    _first_candidate.cache_clear()
     # the second pair's set-bij witness needs Z = 2, C = 2 and D = 1
     for g in (POINT, identity(FinSet(2))):
         for variant in TheoryVariant:
@@ -580,7 +593,8 @@ def test_oracle_caches_stay_small():
     # the size <= 3 sweep at bounds (3, 6, 6) leaves under 0.5 MB behind
     funs = list(enumerate_all_functions(3))
     bounds = SearchBounds(3, 6, 6)
-    for cache in (_xi1_index, _level_plan, _map_pattern, _fiber_classes, _free_funs):
+    caches = (_xi1_index, _level_plan, _first_candidate, _map_pattern, _fiber_classes, _free_funs)
+    for cache in caches:
         cache.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -595,6 +609,102 @@ def test_oracle_caches_stay_small():
     finally:
         tracemalloc.stop()
     assert after - before < 0.5 * 2**20
+
+
+def _lookups(*caches):
+    return [cache.cache_info().hits + cache.cache_info().misses for cache in caches]
+
+
+def test_a_seen_key_answers_without_levels_or_index():
+    # a 2-fiber and a singleton never give a 3-fiber; the twins relabel
+    # both maps, so they share the class-level key
+    f, g = FinFun.from_map([0, 0, 1], 2), FinFun.from_map([0, 0, 0], 2)
+    twins = FinFun.from_map([1, 1, 0], 2), FinFun.from_map([1, 1, 1], 2)
+    bounds = SearchBounds(3, 6, 6)
+    for variant in TheoryVariant:
+        _first_candidate.cache_clear()
+        before = _lookups(_xi1_index, _level_plan)
+        assert oracle_convertible(variant, f, g, bounds) is None
+        seen = _lookups(_xi1_index, _level_plan)
+        assert all(map(int.__gt__, seen, before))
+        for pair in ((f, g), twins):
+            assert oracle_convertible(variant, *pair, bounds) is None
+        assert _lookups(_xi1_index, _level_plan) == seen
+        info = _first_candidate.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    _first_candidate.cache_clear()
+
+
+def test_keys_apart_in_one_size_are_separate_entries():
+    f = FinFun.from_map([0, 0, 1], 3)
+    gs = [FinFun.from_map([0], n) for n in (1, 2, 3)]  # cod(f) - cod(g) is 2, 1, 0
+    base = SearchBounds(2, 4, 4)
+    bounds = [base] + [
+        SearchBounds(*(v - 1 if i == k else v for i, v in enumerate(astuple(base))))
+        for k in range(3)
+    ]
+    for variant in TheoryVariant:
+        _first_candidate.cache_clear()
+        found = set()
+        for g in gs:
+            for b in bounds:
+                got = _witness_json(oracle_convertible(variant, f, g, b))
+                assert got == _witness_json(oracle_convertible(OrbitScan(variant), f, g, b))
+                found.add(got)
+        assert _first_candidate.cache_info().currsize == len(gs) * len(bounds)
+        assert len(found) == 3  # the entries do not all answer alike
+    _first_candidate.cache_clear()
+
+
+def test_a_full_first_candidate_cache_stays_near_a_mebibyte():
+    # fresh maps of up to five points, so that most entries hold key tuples
+    # no other entry shares
+    funs = list(enumerate_all_functions(5))
+    rng = random.Random(5)
+    bounds = SearchBounds(0, 2, 2)
+    _first_candidate.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        while _first_candidate.cache_info().currsize < _first_candidate.cache_info().maxsize:
+            f, g = rng.choice(funs), rng.choice(funs)
+            for variant in TheoryVariant:
+                oracle_convertible(variant, f, g, bounds)
+        _fiber_classes.cache_clear()
+        _map_pattern.cache_clear()
+        gc.collect()
+        full, _ = tracemalloc.get_traced_memory()
+        _first_candidate.cache_clear()
+        gc.collect()
+        empty, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _first_candidate.cache_info().maxsize == convert._KEPT_FIRSTS == 4096
+    assert 0.5 * 2**20 < full - empty < 1.25 * 2**20
+
+
+def test_cached_witnesses_match_fresh_searches():
+    # every size <= 3 witness, cached or not, is the one a search finds
+    # with the cache cleared before it
+    funs = list(enumerate_all_functions(3))
+    for bounds in (
+        SearchBounds(0, 0, 0),
+        SearchBounds(1, 2, 1),
+        SearchBounds(2, 4, 0),
+        SearchBounds(3, 6, 6),
+        SearchBounds(4, 8, 8),
+    ):
+        for variant in TheoryVariant:
+            _first_candidate.cache_clear()
+            cached = [oracle_convertible(variant, f, g, bounds) for f in funs for g in funs]
+            assert _first_candidate.cache_info().hits > 0
+            fresh = []
+            for f in funs:
+                for g in funs:
+                    _first_candidate.cache_clear()
+                    fresh.append(oracle_convertible(variant, f, g, bounds))
+            assert list(map(_witness_json, cached)) == list(map(_witness_json, fresh)), bounds
+    _first_candidate.cache_clear()
 
 
 def test_verify_witness_rejects_tampering():
