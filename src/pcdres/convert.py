@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import Counter
+from collections import Counter, OrderedDict, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,10 +102,11 @@ class TheoryInstance:
         theory may leave out any candidate whose omission keeps the first
         witness; the :mod:`pcdres.oracle` docstring states the contract.
         """
-        for z, c in itertools.product(range(bounds.max_z + 1), range(bounds.max_c + 1)):
-            dom, cod = self.obj_tensor(g.dom, FinSet(c)), self.obj_tensor(f.dom, FinSet(z))
-            for xi1 in self.free_morphisms(dom, cod):
-                yield z, c, xi1
+        for z in range(bounds.max_z + 1):
+            cod = self.obj_tensor(f.dom, FinSet(z))
+            for c in range(bounds.max_c + 1):
+                for xi1 in self.free_morphisms(self.obj_tensor(g.dom, FinSet(c)), cod):
+                    yield z, c, xi1
 
     def is_free(self, m) -> bool:
         raise NotImplementedError
@@ -428,8 +429,7 @@ def _first_use(seq) -> tuple[int, ...]:
 _map_pattern = lru_cache(maxsize=1024)(_first_use)
 
 
-@lru_cache(maxsize=None)
-def _xi1_index(
+def _file_xi1(
     classes: tuple[int, ...], z: int, a: int, c: int
 ) -> dict[tuple[int, ...], tuple[int, tuple[FinFun, ...], tuple[int, ...]]] | None:
     """The wirings of :func:`_scan_xi1` that can solve, filed by the fibers their g-block hits.
@@ -448,6 +448,58 @@ def _xi1_index(
         wirings.append(xi1)
         junks.append(junk)
     return {p: (max(junks), tuple(ws), tuple(junks)) for p, (ws, junks) in index.items()}
+
+
+# The most weight the wiring index keeps, where a shape weighs one plus
+# the wirings it files, so the largest shape filed fits alone.  Under
+# tracemalloc a unit of weight takes about 280 bytes in the shapes the
+# size <= 6 searches at bounds (6, 12, 12) build (4.4 MiB full), and
+# about 470 in shapes that file one wiring of up to 12 points each, the
+# most per unit (7.3 MiB full).  The size <= 3 searches at bounds
+# (3, 6, 6) weigh 609 in all.
+_KEPT_INDEXED = _KEPT_XI1
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _WiringIndex:
+    """:func:`_file_xi1` memoized by shape, bounded by the wirings it keeps.
+
+    When the weight kept passes ``_KEPT_INDEXED``, the least recently used
+    shapes go until it does not.  ``cache_info`` and ``cache_clear`` read as
+    those of ``functools.lru_cache`` do, with the bound as ``maxsize``.
+    """
+
+    def __init__(self) -> None:
+        self._shapes: OrderedDict = OrderedDict()
+        self._weight = self._hits = self._misses = 0
+
+    def __call__(self, classes: tuple[int, ...], z: int, a: int, c: int):
+        key = classes, z, a, c
+        shapes = self._shapes
+        if key in shapes:
+            self._hits += 1
+            shapes.move_to_end(key)
+            return shapes[key][0]
+        self._misses += 1
+        index = _file_xi1(classes, z, a, c)
+        weight = 1 + sum(len(wirings) for _, wirings, _ in (index or {}).values())
+        shapes[key] = index, weight
+        self._weight += weight
+        while self._weight > _KEPT_INDEXED:
+            self._weight -= shapes.popitem(last=False)[1][1]
+        return index
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, _KEPT_INDEXED, len(self._shapes))
+
+    def cache_clear(self) -> None:
+        self._shapes.clear()
+        self._weight = self._hits = self._misses = 0
+
+
+_xi1_index = _WiringIndex()
 
 
 def _filed(
@@ -617,11 +669,11 @@ def _wiring(
     """``(xi1, xi2)`` with ``xi2 . F . xi1 = G``, matching fibers by size.
 
     ``F = f + 1_Z`` and ``G = g + j`` are the padded pair, and ``F_sizes``
-    and ``G_sizes`` their fiber sizes, emptied once sorted to keep peak
+    and ``G_sizes`` their fiber sizes, emptied once ordered to keep peak
     memory down: pass copies to keep them.  ``xi2`` pairs the codomain
-    points of ``F`` and ``G`` in order of fiber size; the sorts are stable,
-    so ties go to the lowest index.  ``xi1`` sends each input of ``G``, in
-    order, to the least unused input of ``F`` in the partner fiber.
+    points of ``F`` and ``G`` in the order :func:`_by_size` gives, so ties
+    go to the lowest index.  ``xi1`` sends each input of ``G``, in order,
+    to the least unused input of ``F`` in the partner fiber.
 
     ``F``'s fibers are walked as chains of inputs: one reverse pass over
     ``F.map`` sets ``head[y]``, the least input of fiber ``y``, and
@@ -634,17 +686,15 @@ def _wiring(
 
     No cursor runs past the end of its chain, because every fiber of ``G``
     is paired with a fiber of ``F`` at least as large.  Both lists are
-    sorted the same way and ``decide`` holds.  Under set-bij the two
+    ordered the same way and ``decide`` holds.  Under set-bij the two
     multiplicity profiles are equal, so paired fibers have one size.  Under
     set-inj ``F``'s tail counts dominate ``G``'s at every index: at 0 the
     codomains have one size, at 1 ``Z`` makes up any shortfall in hit
     points, and from 2 on ``decide`` says so.  So the k-th largest fiber of
     ``F`` is at least the k-th largest of ``G``.
     """
-    f_order = sorted(range(F.cod.size), key=F_sizes.__getitem__, reverse=descending)
-    g_order = sorted(range(G.cod.size), key=G_sizes.__getitem__, reverse=descending)
-    F_sizes.clear()
-    G_sizes.clear()
+    f_order = _by_size(F_sizes, descending)
+    g_order = _by_size(G_sizes, descending)
     head = [-1] * F.cod.size
     after = [-1] * F.dom.size
     for x, y in zip(range(F.dom.size - 1, -1, -1), reversed(F.map)):
@@ -664,6 +714,21 @@ def _wiring(
     xi1 = FinFun._trusted(G.dom, F.dom, tuple(xi1_map))
     xi2 = FinFun._trusted(F.cod, G.cod, tuple(xi2_map))
     return xi1, xi2
+
+
+def _by_size(sizes: list[int], descending: bool) -> list[int]:
+    """The indices of ``sizes`` ordered by size, ties to the lowest index; empties ``sizes``.
+
+    One bucket pass: each size's bucket fills in ascending index order, and
+    ``descending`` reverses the order of the buckets, not their contents.
+    Only the sizes that occur get a bucket.
+    """
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for y, size in enumerate(sizes):
+        buckets[size].append(y)
+    sizes.clear()
+    order = sorted(buckets, reverse=descending)
+    return list(itertools.chain.from_iterable(map(buckets.__getitem__, order)))
 
 
 def _sizes_and_counts(f: FinFun) -> tuple[list[int] | None, list[int]]:

@@ -41,7 +41,9 @@ not a dataclass field, so equality, hashing, ``repr``, pickling, copying and
 the wire format ignore it.  Every constructor sets it to ``None``, so a copy
 or an unpickled function has no memo.  Only the monotone screen fills it,
 on the processes and disjoint unions it screens, whether it keeps them for
-a whole run or streams them, and only the built-in count measures read it.
+a whole run or streams them.  Only the screen, which counts a union once
+per pair of its parts' memos, and the built-in ``phi_i`` and ``gamma_i``
+read it.
 """
 
 from __future__ import annotations

@@ -44,7 +44,11 @@ with :class:`ValueError`.
 The built-in registry carries the multiplicity and tail counts ``phi_i`` and
 ``gamma_i`` for ``i <= 8`` together with deliberate non-monotones (``phi_1``,
 ``gamma_0``, ``gamma_1``, domain size, codomain size) that the checks are
-expected to reject.
+expected to reject.  ``phi_i`` reads the fiber counts at index ``i`` and
+``gamma_i`` sums them from ``i`` on as integers; each converts to a float
+once, is 0.0 past the largest fiber, and reads the memo where a process has
+one.  So each value equals ``float(sum(size_counts(f)[window]))`` for the
+window ``i:i+1`` or ``i:``, bit for bit.
 """
 
 from __future__ import annotations
@@ -477,27 +481,45 @@ def check_complete_family(
     return FamilyReport(variant, size_limit, names, True)
 
 
-def _count_measure(name: str, window: slice) -> CandidateMeasure:
-    """The sum of the fiber-size counts in ``window``, 0 past the largest fiber.
+def _phi(i: int) -> CandidateMeasure:
+    """``phi_i``: the codomain points with exactly ``i`` preimages, 0.0 past the largest fiber.
 
-    The counts are read from the memo of a process or union the screen
-    keeps, and counted afresh on any other function.
+    The counts are read from the memo where the screen set one, and
+    counted afresh on any other function.
     """
 
     def fn(f: FinFun) -> float:
         counts = f._counts
         if counts is None:
             counts = size_counts(f)
-        return float(sum(counts[window]))
+        return float(counts[i]) if i < len(counts) else 0.0
 
-    return CandidateMeasure(name, fn)
+    return CandidateMeasure(f"phi_{i}", fn)
+
+
+def _gamma(i: int) -> CandidateMeasure:
+    """``gamma_i``: the codomain points with at least ``i`` preimages, read as :func:`_phi` reads.
+
+    The tail is summed as integers and converted once, so the value is
+    the float nearest the count however large the codomain; a float sum
+    would round each partial sum past 2**53.  Past the largest fiber the
+    tail is empty and the sum is skipped.
+    """
+
+    def fn(f: FinFun) -> float:
+        counts = f._counts
+        if counts is None:
+            counts = size_counts(f)
+        return float(sum(counts[i:])) if i < len(counts) else 0.0
+
+    return CandidateMeasure(f"gamma_{i}", fn)
 
 
 def _registry() -> dict[str, CandidateMeasure]:
     reg = {}
     for i in range(9):
-        reg[f"phi_{i}"] = _count_measure(f"phi_{i}", slice(i, i + 1))
-        reg[f"gamma_{i}"] = _count_measure(f"gamma_{i}", slice(i, None))
+        reg[f"phi_{i}"] = _phi(i)
+        reg[f"gamma_{i}"] = _gamma(i)
     reg["dom_size"] = CandidateMeasure("dom_size", lambda f: float(f.dom.size))
     reg["cod_size"] = CandidateMeasure("cod_size", lambda f: float(f.cod.size))
     return reg

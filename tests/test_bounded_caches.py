@@ -5,7 +5,9 @@ A memo is a function wrapped by ``functools.lru_cache`` or
 Its ``maxsize`` is read from the call: a bare ``lru_cache`` has 128,
 ``cache`` has None, and a name is looked up among the module's top-level
 constant assignments.  A memo with no bound is unbounded, and it must be
-on :data:`UNBOUNDED`, which says what keeps it small.
+on :data:`UNBOUNDED`, which says what keeps it small.  The oracle's wiring
+index, ``convert._xi1_index``, is bounded by the wirings it keeps rather
+than by its entries; ``tests/test_oracle.py`` fills it.
 """
 
 import ast
@@ -19,10 +21,6 @@ UNBOUNDED = {
     "convert.py:_free_funs": (
         "keyed by variant and two sizes; the monotone screens call it at sizes up to "
         "their size limit and the plain TheoryInstance scans at sizes within their bounds"
-    ),
-    "convert.py:_xi1_index": (
-        "one entry per fiber partition of f and level (Z, A, C) that the searches meet, "
-        "each capped at _KEPT_XI1 wirings; test_oracle_caches_stay_small measures a sweep"
     ),
     "oracle.py:_fun_graphs": (
         "keyed by two sizes, which the relational plain scan keeps within its bounds"

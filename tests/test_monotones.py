@@ -449,6 +449,41 @@ def test_measures_cost_memory_in_domain(name, expected):
     assert peak < 2 * 2**20
 
 
+# the registry's former definition of each count measure:
+# float(sum(size_counts(f)[window]))
+WINDOWS = {f"phi_{i}": slice(i, i + 1) for i in range(9)} | {
+    f"gamma_{i}": slice(i, None) for i in range(9)
+}
+
+
+def _by_window(f):
+    """``{name: value}`` of every built-in measure on ``f``, as the registry defined it."""
+    counts = monotones.size_counts(f)
+    values = {name: float(sum(counts[window])) for name, window in WINDOWS.items()}
+    return values | {"dom_size": float(f.dom.size), "cod_size": float(f.cod.size)}
+
+
+def test_builtin_measures_keep_their_window_values_bit_for_bit():
+    kept = monotones._kept_processes(3) + monotones._kept_unions(3)
+    fresh = [FinFun.from_map(f.map, f.cod.size) for f in kept]
+    assert all(f._counts is not None for f in kept) and all(f._counts is None for f in fresh)
+    # a count past 2**53, where a float sum of the tail would round: an
+    # unhit codomain of 2**53 + 1 points, and fibers of sizes 1, 2 and 3
+    wide = FinFun.from_map([0, 1, 1, 2, 2, 2], 2**53 + 4)
+    tail = monotones.size_counts(wide)
+    assert sum(tail, 0.0) != float(sum(tail))
+    funs = [
+        *enumerate_all_functions(4), *kept, *fresh, FinFun.from_map([0], 10**9), wide
+    ]
+    assert len(BUILTIN_MEASURES) == 20
+    for f in funs:
+        expected = _by_window(f)
+        assert expected.keys() == BUILTIN_MEASURES.keys()
+        for name, mu in BUILTIN_MEASURES.items():
+            value = mu(f)
+            assert type(value) is float and value.hex() == expected[name].hex(), (name, f)
+
+
 # sees the order of the blocks in a union, which no fiber count does
 first_image = CandidateMeasure("first_image", lambda f: float(f.map[0]) if f.map else 0.0)
 # inf == inf, yet every union of a non-empty map must fail additivity

@@ -683,6 +683,64 @@ def test_a_full_first_candidate_cache_stays_near_a_mebibyte():
     assert 0.5 * 2**20 < full - empty < 1.25 * 2**20
 
 
+def _one_wiring_shapes():
+    """Shapes that file one wiring each, lightest first: ``f`` of ``n`` singleton fibers.
+
+    Each wiring sends the ``a + c`` inputs to the first points of
+    ``f + 1_Z``.  ``f`` and the wirings have at most 12 points each; the
+    size <= 6 searches at bounds (6, 12, 12) build no longer wirings, for
+    an ``f`` of at most 6.  A shape weighs 2, the least a filed wiring
+    brings, so these carry the most bytes per unit of weight.
+    """
+    shapes = [
+        ((-1,) * n, z, a, c)
+        for n in range(13)
+        for z in range(13)
+        for a in range(13)
+        for c in range(13 - a)
+        if a + c <= n + z
+    ]
+    return sorted(shapes, key=lambda s: (len(s[0]) + s[2] + s[3], s))
+
+
+def test_the_wiring_index_evicts_the_least_recently_used_shapes():
+    shapes = _one_wiring_shapes()
+    assert len(shapes) * 2 > convert._KEPT_INDEXED == convert._KEPT_XI1 == 16384
+    _xi1_index.cache_clear()
+    first = shapes[0]
+    for k, shape in enumerate(shapes):
+        assert len(_xi1_index(*shape)) == 1
+        if k % 1000 == 0:
+            _xi1_index(*first)  # a hit keeps it
+    info = _xi1_index.cache_info()
+    assert (info.misses, info.currsize) == (len(shapes), convert._KEPT_INDEXED // 2)
+    kept = [shape for shape in _xi1_index._shapes if shape != first]
+    assert len(kept) == info.currsize - 1 and kept == shapes[-len(kept) :]
+    _xi1_index.cache_clear()
+
+
+def test_a_full_wiring_index_stays_under_eight_mebibytes(monkeypatch):
+    # at a sixteenth of the bound, under tracemalloc, with the heaviest
+    # shapes kept; the bytes per unit of weight do not depend on the bound
+    scale = 16
+    monkeypatch.setattr(convert, "_KEPT_INDEXED", convert._KEPT_INDEXED // scale)
+    shapes = _one_wiring_shapes()[-convert._KEPT_INDEXED :]
+    _xi1_index.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        empty, _ = tracemalloc.get_traced_memory()
+        for shape in shapes:
+            _xi1_index(*shape)
+        gc.collect()
+        full, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _xi1_index.cache_clear()
+    assert _xi1_index.cache_info().maxsize * scale == 16384
+    assert 5 * 2**20 < (full - empty) * scale < 8 * 2**20
+
+
 def test_cached_witnesses_match_fresh_searches():
     # every size <= 3 witness, cached or not, is the one a search finds
     # with the cache cleared before it
