@@ -15,8 +15,12 @@ Convertibility is characterized by fiber statistics.  With bijections free,
 dominates that of ``g`` away from index 1 (singleton fibers are exactly what
 padding with identities can create).  With injections free, domination of the
 tail profiles away from indices 0 and 1 is the criterion (injections can also
-invent fresh unhit outputs).  :func:`decide` applies the criterion;
-:func:`witness` builds an explicit ``(Z, xi1, xi2, j)`` tuple realizing it.
+invent fresh unhit outputs).  :func:`decide` applies the criterion straight
+to the two sides' fiber-size counts: pointwise away from index 1 under
+set-bij, and under set-inj on running tail sums taken from the largest
+fiber size down to 2, stopping at the first index that fails.  No normal
+form is built for it.  :func:`witness` builds an explicit
+``(Z, xi1, xi2, j)`` tuple realizing it.
 
 Each :class:`TheoryVariant` member is one whole theory: besides the
 criterion it carries the category operations, the wire format and the
@@ -620,18 +624,58 @@ def normal_form(variant: TheoryVariant, f: FinFun) -> Profile:
     """The complete invariant of ``f``'s convertibility class.
 
     Multiplicity counts under set-bij, tail counts under set-inj, less the
-    excluded indices.  The library compares these as dense lists; this is
-    the sparse :class:`Profile` of their nonzero entries, for callers.
+    excluded indices.  :func:`decide` reads them from the fiber counts and
+    the family check compares them as dense lists; this is the sparse
+    :class:`Profile` of their nonzero entries, for callers.
     """
     return Profile._trusted({i: n for i, n in enumerate(_dense_form(variant, f)) if n})
+
+
+def _converts(variant: TheoryVariant, a: list[int], b: list[int]) -> bool:
+    """Whether the :func:`size_counts` list ``a`` dominates ``b`` in normal form.
+
+    On lists of non-negative counts it equals
+    ``_dominates(_form(variant, a.copy()), _form(variant, b.copy()))``, but
+    it reads the counts in one early-exit pass that builds no list and
+    changes neither argument.  Missing entries count as 0, so entries of
+    ``b`` past the end of ``a`` must be 0 from index 2 on.  Under set-bij
+    index 0 and every index from 2 on compare pointwise; index 1 is free.
+    Under set-inj the two tails are summed from the top index down to 2,
+    and the first index where ``a``'s falls below ``b``'s refutes.
+    """
+    n, m = len(a), len(b)
+    bij = variant is TheoryVariant.SET_BIJ
+    if bij and m and (a[0] if n else 0) < b[0]:
+        return False
+    if m > n:
+        if any(b[max(n, 2):]):
+            return False
+        m = n  # b's entries past a's end are 0 from here on
+    if bij:
+        for i in range(2, m):
+            if a[i] < b[i]:
+                return False
+        return True
+    if m < 3:
+        return True  # b's tails from index 2 on are all 0
+    tail_a = sum(a[m:]) if n > m else 0
+    tail_b = 0
+    for i in range(m - 1, 1, -1):
+        tail_a += a[i]
+        tail_b += b[i]
+        if tail_a < tail_b:
+            return False
+    return True
 
 
 def decide(variant: TheoryVariant, f: FinFun, g: FinFun) -> bool:
     """Whether ``f`` converts to ``g``: pointwise dominance of normal forms.
 
-    The forms are compared as dense count lists; no :class:`Profile` is built.
+    Each side's fibers are counted once with :func:`size_counts`, and
+    :func:`_converts` compares the normal forms straight from the two
+    count lists; no form list and no :class:`Profile` is built.
     """
-    return _dominates(_dense_form(variant, f), _dense_form(variant, g))
+    return _converts(variant, size_counts(f), size_counts(g))
 
 
 def equivalent(variant: TheoryVariant, f: FinFun, g: FinFun) -> bool:
@@ -764,7 +808,7 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
     sparsely counted side lists its sizes only once the decision holds.
     """
     (f_sizes, f_counts), (g_sizes, g_counts) = _sizes_and_counts(f), _sizes_and_counts(g)
-    if not _dominates(_form(variant, f_counts.copy()), _form(variant, g_counts.copy())):
+    if not _converts(variant, f_counts, g_counts):
         raise NotConvertibleError(
             f"f ({f.dom.size} -> {f.cod.size}) does not convert to "
             f"g ({g.dom.size} -> {g.cod.size}) under {variant.value}"

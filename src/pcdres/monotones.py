@@ -441,10 +441,12 @@ def check_complete_family(
     Each enumerated function's dense normal form and values are computed
     once.  Functions with equal forms and equal values form a class, since
     both ``decide`` and joint dominance see nothing else, and each ordered
-    pair of classes is compared once, with the dominance test :func:`decide`
-    applies.  Classes are taken in the order of their first members, so the
-    first failing pair of classes gives the first failing pair of functions
-    in enumeration order, and that pair is the counterexample.
+    pair of classes is compared once: the dense forms with ``_dominates``,
+    which ``tests/test_convert.py`` pins equal to the count-level test
+    :func:`decide` applies.  Classes are taken in the order of their first
+    members, so the first failing pair of classes gives the first failing
+    pair of functions in enumeration order, and that pair is the
+    counterexample.
 
     Every member must individually pass :func:`check_measure` on every call;
     a member that does not is rejected up front rather than reported as

@@ -37,8 +37,8 @@ from pcdres import (
     witness_to_dict,
 )
 from pcdres import convert
-from pcdres.convert import _dominates
-from pcdres.profiles import fiber_sizes
+from pcdres.convert import _converts, _dominates, _form
+from pcdres.profiles import fiber_sizes, size_counts
 
 BIJ = TheoryVariant.SET_BIJ
 INJ = TheoryVariant.SET_INJ
@@ -103,6 +103,51 @@ def test_dominates_is_pointwise_on_lists_of_any_length():
     assert _dominates([1, 0, 3, 0], [0, 0, 2])
     assert not _dominates([2, 0], [1, 5])  # lexicographic >= would say True
     assert _dominates([], []) and _dominates([0], [])
+
+
+def dense_dominates(variant, a, b):
+    """``_converts``'s definition: dominance of the two dense forms."""
+    return _dominates(_form(variant, a.copy()), _form(variant, b.copy()))
+
+
+def assert_converts_as_defined(variant, a, b):
+    kept_a, kept_b = a.copy(), b.copy()
+    assert _converts(variant, a, b) == dense_dominates(variant, a, b), (variant, a, b)
+    assert (a, b) == (kept_a, kept_b)  # witness reads both lists again
+
+
+def test_converts_matches_dense_forms_on_small_functions():
+    counts = sorted({tuple(size_counts(f)) for f in enumerate_all_functions(4)})
+    for variant in (BIJ, INJ):
+        for a in counts:
+            for b in counts:
+                assert_converts_as_defined(variant, list(a), list(b))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, 6), max_size=12),
+    st.lists(st.integers(0, 6), max_size=12),
+)
+def test_converts_matches_dense_forms_on_count_lists(a, b):
+    # lists of unequal lengths, with and without trailing zeros
+    for variant in (BIJ, INJ):
+        assert_converts_as_defined(variant, a, b)
+
+
+def test_converts_edge_cases():
+    for variant in (BIJ, INJ):
+        assert _converts(variant, [], [])
+        assert _converts(variant, [1], [1, 0, 0])  # trailing zeros of the longer side
+        assert not _converts(variant, [1], [1, 0, 1])
+        assert not _converts(variant, [2, 0, 0], [1, 0, 5])  # lexicographic >= would say True
+    assert _converts(BIJ, [3], [0, 2])  # index 1 is free
+    assert not _converts(BIJ, [], [1])  # index 0 counts under set-bij ...
+    assert _converts(INJ, [], [1])  # ... but not under set-inj
+    # equal tails below the top, so only the top index refutes
+    assert not _converts(INJ, [0, 0, 2, 0], [0, 0, 1, 1])
+    assert not _converts(INJ, [0, 0, 3, 0], [0, 0, 2, 1])
+    assert _converts(INJ, [0, 0, 1, 1], [0, 0, 2, 0])
 
 
 def small_functions():
