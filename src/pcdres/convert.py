@@ -295,32 +295,22 @@ def _candidate_stream(
     max_c: int,
     max_d: int,
 ) -> Iterator[tuple[int, int, FinFun]]:
-    """The planned levels' filed wirings, in scan order.
+    """The scanned levels' filed wirings, in scan order.
 
     ``classes`` is ``f``'s :func:`_fiber_classes`, ``want`` is ``g``'s
     :func:`_map_pattern` and ``spare = cod(f) - cod(g)``; ``dom(f)`` and
-    ``dom(g)`` are their lengths.  The levels come from :func:`_level_plan`,
-    streamed on from :func:`_scan_levels` past its end; the plan is keyed
-    by sizes and bounds alone.  On each level that has a free ``xi1``, the
+    ``dom(g)`` are their lengths.  The levels stream from
+    :func:`_scan_levels`, each with a free ``xi1``.  On each level, the
     wirings :func:`_xi1_index` files under ``want`` whose junk count passes
     :meth:`TheoryVariant._junk_limit`; a shape too large to file streams
-    through the same test.  The tests on each level hold for any level,
-    planned or not.  The symmetries, the filter and the proof that the
-    first witness is unchanged are in the :mod:`pcdres.oracle` docstring.
+    through the same test.  The symmetries, the filter and the proof that
+    the first witness is unchanged are in the :mod:`pcdres.oracle` docstring.
     """
     a = len(want)
-    sizes = (variant, len(classes) - a, spare, max_z, max_c, max_d)
-    levels, more = _level_plan(*sizes)
-    if more:
-        levels = itertools.chain(levels, itertools.islice(_scan_levels(*sizes), _KEPT_LEVELS, None))
-    bij = variant is TheoryVariant.SET_BIJ
-    for z, c in levels:
-        room = len(classes) + z - a - c
-        if room < 0 or (bij and room):
-            continue  # no free xi1 of this shape
+    for z, c in _scan_levels(variant, len(classes) - a, spare, max_z, max_c, max_d):
+        limit = variant._junk_limit(spare + z, max_d)
         index = _xi1_index(classes, z, a, c)
         if index is None:  # too many wirings to keep: stream them
-            limit = variant._junk_limit(spare + z, max_d)
             for pattern, junk, xi1 in _filed(_scan_xi1(classes, z, a, c), classes, z, a):
                 if pattern == want and junk <= limit:
                     yield z, c, xi1
@@ -329,7 +319,6 @@ def _candidate_stream(
         if filed is None:
             continue  # no wiring of this shape meets g's pattern
         top, wirings, junks = filed
-        limit = variant._junk_limit(spare + z, max_d)
         if top > limit:
             wirings = itertools.compress(wirings, [junk <= limit for junk in junks])
         for xi1 in wirings:
@@ -390,24 +379,6 @@ def _scan_levels(
                 yield z, c
         elif spare + z >= 0 and 0 <= room + z <= max_c:
             yield z, room + z
-
-
-# The most levels a plan keeps; a search past them streams.  Bounds
-# (6, 12, 12) give at most 91, while bounds the command line accepts can
-# give about 10^13.  A kept level costs about 62 bytes, so a full cache of
-# 128 plans of 128 levels each takes about 1 MiB (1.04 MiB under
-# tracemalloc), whatever the bounds.
-_KEPT_LEVELS = 1 << 7
-
-
-@lru_cache(maxsize=128)
-def _level_plan(
-    variant: TheoryVariant, room: int, spare: int, max_z: int, max_c: int, max_d: int
-) -> tuple[tuple[tuple[int, int], ...], bool]:
-    """The first ``_KEPT_LEVELS`` levels of :func:`_scan_levels`, and whether more follow."""
-    scan = _scan_levels(variant, room, spare, max_z, max_c, max_d)
-    kept = tuple(itertools.islice(scan, _KEPT_LEVELS + 1))
-    return kept[:_KEPT_LEVELS], len(kept) > _KEPT_LEVELS
 
 
 @lru_cache(maxsize=1024)

@@ -36,13 +36,10 @@ free ``xi1 : A + C -> dom(f) + Z`` or, for every ``D <= max_d``, no free
 and only while ``0 <= spare <= max_d``; set-inj scans every
 ``C <= dom(f) + Z - A`` while ``spare <= max_d``.  ``solve_discard``
 rejects every candidate of a skipped level for exactly these reasons.
-Since the levels read only sizes, ``convert._level_plan`` caches them as a
-plan keyed by ``dom(f) - dom(g)``, ``cod(f) - cod(g)`` and the bounds.  A
-plan keeps up to ``convert._KEPT_LEVELS`` (128) levels and the cache up to
-128 plans, about 1 MiB in all; a search that gets past a plan's last level
-streams the rest from the same scan, so huge bounds cost no memory.  The
-search builds ``f + 1_Z`` only when a ``Z`` yields its first wiring to
-try, so a level with no filed wiring costs only a shape test and two
+``convert._scan_levels`` streams the levels from ``dom(f) - dom(g)``,
+``cod(f) - cod(g)`` and the bounds alone, so huge bounds cost no memory.
+The search builds ``f + 1_Z`` only when a ``Z`` yields its first wiring to
+try, so a level with no filed wiring costs only the rule on ``D`` and two
 cached lookups, and a negative search never pads.
 
 Orbits.  Four symmetries of the equation act on the wirings ``xi1``:

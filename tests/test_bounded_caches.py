@@ -147,4 +147,3 @@ def test_every_bounded_memo_is_listed_with_its_size():
     found = all_memos()
     assert all(isinstance(size, int) and size > 0 for size in found.values() if size is not None)
     assert found["convert.py:_first_candidate"] == 4096
-    assert found["convert.py:_level_plan"] == 128

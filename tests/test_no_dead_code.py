@@ -6,14 +6,21 @@ definition (its name starts with ``_`` and is not a dunder) is a top-level
 function, class or assignment, or a method in a class body.  It is used
 when some module under ``src/pcdres`` reads its name outside its own
 definition, as a name, an attribute or an imported name.
+
+The prose names no private helper that is gone: each private name that a
+docstring under ``src/pcdres`` or ``README.md`` quotes in backticks, bare
+(``_x``), dotted (``convert._x``) or in a ``:func:``/``:meth:`` role, is
+defined under ``src/pcdres``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pcdres"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pcdres"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -130,3 +137,76 @@ def test_every_import_is_used(path):
 def test_every_private_helper_is_used():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert unused_private_definitions(sources) == []
+
+
+# a dotted name in backticks; single ones also match inside ``x`` and roles
+_QUOTED = re.compile(r"`~?([A-Za-z_][\w.]*\w)`")
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Names bound at module level, in a class body, or as a ``__slots__`` entry."""
+    names = set()
+    for scope in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+                continue
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names.add(leaf.id)
+                if isinstance(target, ast.Name) and target.id == "__slots__":
+                    names |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return names
+
+
+def _docstrings(tree: ast.Module) -> str:
+    nodes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return "\n".join(
+        ast.get_docstring(n) or "" for n in ast.walk(tree) if isinstance(n, nodes)
+    )
+
+
+def stale_private_names(sources: dict[str, str], prose: dict[str, str]) -> list[str]:
+    """``where:name`` for each private name quoted in the prose or docstrings but defined nowhere."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = set().union(*map(_defined_names, trees.values()))
+    texts = {**{name: _docstrings(tree) for name, tree in trees.items()}, **prose}
+    stale = []
+    for where, text in texts.items():
+        for quoted in _QUOTED.findall(text):
+            name = quoted.rsplit(".", 1)[-1]
+            if _private(name) and name not in defined and f"{where}:{name}" not in stale:
+                stale.append(f"{where}:{name}")
+    return stale
+
+
+def test_detector_finds_stale_private_names_in_prose():
+    source = (
+        '"""Reads ``convert._gone`` and ``_LIMIT``; see :func:`_kept`."""\n'
+        "_LIMIT = 4\n"
+        "_a, (_b, c) = 1, (2, 3)\n"
+        "def _kept():\n"
+        '    """Unlike :meth:`Box._lost`, calls :meth:`~mod.Box._read` on ``_slot``."""\n'
+        "class Box:\n"
+        "    __slots__ = ('_slot',)\n"
+        "    _size: int = 3\n"
+        "    def _read(self):\n"
+        '        """Not ``_b`` nor ``1_Z`` nor ``__init__`` nor ``f(_x)``; ``_none``."""\n'
+    )
+    prose = {"README.md": "Uses `Box._size` and `_a`, not `_old` nor ``_older``.\n"}
+    assert stale_private_names({"mod": source}, prose) == [
+        "mod:_gone", "mod:_lost", "mod:_none", "README.md:_old", "README.md:_older"
+    ]
+
+
+def test_prose_names_only_private_names_that_exist():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    prose = {"README.md": (ROOT / "README.md").read_text(encoding="utf-8")}
+    assert stale_private_names(sources, prose) == []

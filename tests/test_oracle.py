@@ -46,8 +46,8 @@ from pcdres.convert import (
     _first_candidate,
     _first_use,
     _free_funs,
-    _level_plan,
     _map_pattern,
+    _scan_levels,
     _scan_xi1,
     _xi1_index,
 )
@@ -74,21 +74,19 @@ class NaiveTheory(Wrapped):
     solve_discard = TheoryInstance.solve_discard
 
 
-def planned_levels(variant, f, g, bounds):
-    """The levels the set theories' search scans, read from their plan."""
-    kept, more = _level_plan(
+def scanned_levels(variant, f, g, bounds):
+    """The levels the set theories' search scans."""
+    return tuple(_scan_levels(
         variant, f.dom.size - g.dom.size, f.cod.size - g.cod.size,
         bounds.max_z, bounds.max_c, bounds.max_d,
-    )
-    assert not more
-    return kept
+    ))
 
 
 class PlainScan(Wrapped):
     """Same theory, but the search tries every free ``xi1`` on its levels."""
 
     def candidates(self, f, g, bounds):
-        for z, c in planned_levels(self.theory, f, g, bounds):
+        for z, c in scanned_levels(self.theory, f, g, bounds):
             for xi1 in self.wirings(f, z, g.dom.size, c):
                 yield z, c, xi1
 
@@ -450,12 +448,22 @@ def test_large_shapes_stream_in_the_cached_order(monkeypatch):
     _first_candidate.cache_clear()
 
 
+def every_level(variant, room, spare, max_z, max_c, max_d):
+    """Every level within bounds that has a free ``xi1``, whatever ``xi2`` needs."""
+    for z, c in itertools.product(range(max_z + 1), range(max_c + 1)):
+        if c <= room + z and (variant is TheoryVariant.SET_INJ or c == room + z):
+            yield z, c
+
+
 class PlainLevels(Wrapped):
-    """Same theory, but the search scans every level within bounds."""
+    """Same theory, but the search scans every level within bounds with a free ``xi1``.
+
+    A level with no free ``xi1`` holds no candidate of the plain scan, and
+    the orbit scan is never asked for a shape with no free map.
+    """
 
     def candidates(self, f, g, bounds):
-        every = tuple(itertools.product(range(bounds.max_z + 1), range(bounds.max_c + 1)))
-        with mock.patch.object(convert, "_level_plan", lambda *sizes: (every, False)):
+        with mock.patch.object(convert, "_scan_levels", every_level):
             yield from self.theory.candidates(f, g, bounds)
 
 
@@ -483,7 +491,7 @@ def test_level_pruning_keeps_the_first_witness():
 
 
 def reference_levels(variant, f, g, bounds):
-    """The set theories' levels as a plain generator, before they were planned."""
+    """The set theories' levels as a plain generator, written out from the sizes."""
     for z in range(bounds.max_z + 1):
         spare = f.cod.size + z - g.cod.size
         if spare > bounds.max_d:
@@ -496,7 +504,7 @@ def reference_levels(variant, f, g, bounds):
             yield z, room
 
 
-def test_level_plan_matches_the_plain_scan():
+def test_scan_levels_match_the_reference():
     # levels read sizes alone, so one function per (dom, cod) stands for all
     shapes = [
         FinFun.from_map([0] * d, c) for d in range(5) for c in range(5) if c or not d
@@ -513,40 +521,44 @@ def test_level_plan_matches_the_plain_scan():
             for f in shapes:
                 for g in shapes:
                     expected = list(reference_levels(variant, f, g, bounds))
-                    assert list(planned_levels(variant, f, g, bounds)) == expected, (bounds, f, g)
-                    # a second search reads the cached plan
-                    assert list(planned_levels(variant, f, g, bounds)) == expected
+                    assert list(scanned_levels(variant, f, g, bounds)) == expected, (bounds, f, g)
 
 
-def test_huge_bounds_stream_levels_past_the_plan(monkeypatch):
+def test_every_scanned_level_has_a_free_xi1_and_room_for_junk():
+    # the search reads each level's index and rule on D without a guard, so
+    # every level must admit a free xi1 and some free xi2
+    levels = 0
+    for variant in TheoryVariant:
+        bij = variant is TheoryVariant.SET_BIJ
+        for room, spare in itertools.product(range(-4, 6), repeat=2):
+            for max_z, max_c, max_d in itertools.product(range(4), range(6), range(6)):
+                for z, c in _scan_levels(variant, room, spare, max_z, max_c, max_d):
+                    assert 0 <= c <= max_c and 0 <= z <= max_z
+                    assert c == room + z if bij else c <= room + z
+                    assert variant._junk_limit(spare + z, max_d) >= 0
+                    levels += 1
+    assert levels == 46_830
+
+
+def test_huge_bounds_stream_their_levels():
     huge = SearchBounds(10**6, 10**6, 10**6)
     f, g = FinFun.from_map([0, 0, 1], 2), POINT
-    room, spare = f.dom.size - g.dom.size, f.cod.size - g.cod.size
-    _level_plan.cache_clear()
+    reference = list(itertools.islice(reference_levels(TheoryVariant.SET_INJ, f, g, huge), 400))
+    _xi1_index.cache_clear()
+    _first_candidate.cache_clear()
+    gc.collect()
     tracemalloc.start()
     try:
-        kept, more = _level_plan(TheoryVariant.SET_INJ, room, spare, *astuple(huge))
+        pulled = list(itertools.islice(TheoryVariant.SET_INJ.candidates(f, g, huge), 400))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert more and len(kept) == convert._KEPT_LEVELS
-    reference = reference_levels(TheoryVariant.SET_INJ, f, g, huge)
-    assert kept == tuple(itertools.islice(reference, 128))
-    assert peak < 2**20
-    # past a plan's last level the search streams on in the same order
-    first = {}
-    for bounds in (huge, SearchBounds(3, 6, 6)):
-        for variant in TheoryVariant:
-            first[bounds, variant] = list(itertools.islice(variant.candidates(f, g, bounds), 400))
-    # they reach past the last level of a five-level plan
-    assert {(z, c) for z, c, _ in first[huge, TheoryVariant.SET_INJ]} >= set(kept[:10])
-    monkeypatch.setattr(convert, "_KEPT_LEVELS", 5)
-    _level_plan.cache_clear()
-    _first_candidate.cache_clear()
-    for (bounds, variant), expected in first.items():
-        assert list(itertools.islice(variant.candidates(f, g, bounds), 400)) == expected
-    monkeypatch.undo()
-    _level_plan.cache_clear()
+    assert len(pulled) == 400 and peak < 2**20
+    # the candidates come level by level, in the order of the plain scan
+    order = {level: k for k, level in enumerate(reference)}
+    ranks = [order[z, c] for z, c, _ in pulled]
+    assert ranks == sorted(ranks) and ranks[-1] > 100
+    _xi1_index.cache_clear()
     _first_candidate.cache_clear()
     # the second pair's set-bij witness needs Z = 2, C = 2 and D = 1
     for g in (POINT, identity(FinSet(2))):
@@ -554,25 +566,6 @@ def test_huge_bounds_stream_levels_past_the_plan(monkeypatch):
             w = oracle_convertible(variant, MERGE, g, huge)
             assert w is not None
             assert w == oracle_convertible(variant, MERGE, g, SearchBounds(3, 6, 6))
-
-
-def test_level_plans_stay_near_a_mebibyte():
-    # more shapes than the cache holds, each with more levels than a plan keeps
-    _level_plan.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        for room in range(200, 500):
-            kept, more = _level_plan(TheoryVariant.SET_INJ, room, 0, 10**6, 10**6, 10**6)
-            assert len(kept) == convert._KEPT_LEVELS and more
-        gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        _level_plan.cache_clear()
-    assert _level_plan.cache_info().maxsize == 128
-    assert after - before < 1.25 * 2**20
 
 
 def test_oracle_agrees_with_decide_on_a_size_4_sample():
@@ -593,7 +586,7 @@ def test_oracle_caches_stay_small():
     # the size <= 3 sweep at bounds (3, 6, 6) leaves under 0.5 MB behind
     funs = list(enumerate_all_functions(3))
     bounds = SearchBounds(3, 6, 6)
-    caches = (_xi1_index, _level_plan, _first_candidate, _map_pattern, _fiber_classes, _free_funs)
+    caches = (_xi1_index, _first_candidate, _map_pattern, _fiber_classes, _free_funs)
     for cache in caches:
         cache.cache_clear()
     gc.collect()
@@ -611,25 +604,33 @@ def test_oracle_caches_stay_small():
     assert after - before < 0.5 * 2**20
 
 
-def _lookups(*caches):
-    return [cache.cache_info().hits + cache.cache_info().misses for cache in caches]
-
-
-def test_a_seen_key_answers_without_levels_or_index():
+def test_a_seen_key_answers_without_levels_or_index(monkeypatch):
     # a 2-fiber and a singleton never give a 3-fiber; the twins relabel
     # both maps, so they share the class-level key
     f, g = FinFun.from_map([0, 0, 1], 2), FinFun.from_map([0, 0, 0], 2)
     twins = FinFun.from_map([1, 1, 0], 2), FinFun.from_map([1, 1, 1], 2)
     bounds = SearchBounds(3, 6, 6)
+    scans = []
+
+    def counted_levels(*sizes):
+        scans.append(sizes)
+        return _scan_levels(*sizes)
+
+    monkeypatch.setattr(convert, "_scan_levels", counted_levels)
+
+    def lookups():
+        info = _xi1_index.cache_info()
+        return len(scans), info.hits + info.misses
+
     for variant in TheoryVariant:
         _first_candidate.cache_clear()
-        before = _lookups(_xi1_index, _level_plan)
+        before = lookups()
         assert oracle_convertible(variant, f, g, bounds) is None
-        seen = _lookups(_xi1_index, _level_plan)
+        seen = lookups()
         assert all(map(int.__gt__, seen, before))
         for pair in ((f, g), twins):
             assert oracle_convertible(variant, *pair, bounds) is None
-        assert _lookups(_xi1_index, _level_plan) == seen
+        assert lookups() == seen
         info = _first_candidate.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
     _first_candidate.cache_clear()
