@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import Counter, OrderedDict, defaultdict, namedtuple
-from collections.abc import Iterable, Iterator
+from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -295,33 +295,17 @@ def _candidate_stream(
     max_c: int,
     max_d: int,
 ) -> Iterator[tuple[int, int, FinFun]]:
-    """The scanned levels' filed wirings, in scan order.
+    """The wirings that solve, level by level, in scan order.
 
     ``classes`` is ``f``'s :func:`_fiber_classes`, ``want`` is ``g``'s
     :func:`_map_pattern` and ``spare = cod(f) - cod(g)``; ``dom(f)`` and
-    ``dom(g)`` are their lengths.  The levels stream from
-    :func:`_scan_levels`, each with a free ``xi1``.  On each level, the
-    wirings :func:`_xi1_index` files under ``want`` whose junk count passes
-    :meth:`TheoryVariant._junk_limit`; a shape too large to file streams
-    through the same test.  The symmetries, the filter and the proof that
-    the first witness is unchanged are in the :mod:`pcdres.oracle` docstring.
+    ``dom(g)`` are their lengths.  Each level of :func:`_scan_levels` gets
+    the pruned :func:`_scan_xi1`; the :mod:`pcdres.oracle` docstring states
+    why the first witness is unchanged.
     """
     a = len(want)
     for z, c in _scan_levels(variant, len(classes) - a, spare, max_z, max_c, max_d):
-        limit = variant._junk_limit(spare + z, max_d)
-        index = _xi1_index(classes, z, a, c)
-        if index is None:  # too many wirings to keep: stream them
-            for pattern, junk, xi1 in _filed(_scan_xi1(classes, z, a, c), classes, z, a):
-                if pattern == want and junk <= limit:
-                    yield z, c, xi1
-            continue
-        filed = index.get(want)
-        if filed is None:
-            continue  # no wiring of this shape meets g's pattern
-        top, wirings, junks = filed
-        if top > limit:
-            wirings = itertools.compress(wirings, [junk <= limit for junk in junks])
-        for xi1 in wirings:
+        for xi1 in _scan_xi1(classes, z, a, c, want, variant._junk_limit(spare + z, max_d)):
             yield z, c, xi1
 
 
@@ -344,13 +328,9 @@ def _first_candidate(
 ) -> tuple[int, int, FinFun] | None:
     """The first element of :func:`_candidate_stream`, or None if it is empty.
 
-    The key is exact: the stream reads nothing but these arguments.  Every
-    wiring the stream yields passes the three tests on which
-    ``solve_discard`` accepts, so the first one solves and gives the
-    search's witness, and an empty stream is a negative search.  A
-    search's answer is therefore one lookup here when the key was seen;
-    the size <= 3 searches at bounds (3, 6, 6), 7,200 of them, share 630
-    keys.  The cache keeps ``_KEPT_FIRSTS`` (4,096) entries, about 1 MiB.
+    The key is exact: the stream reads nothing but these arguments.  The
+    :mod:`pcdres.oracle` docstring ("First candidates") says why that
+    element decides the search.
     """
     return next(_candidate_stream(variant, classes, want, spare, max_z, max_c, max_d), None)
 
@@ -389,11 +369,6 @@ def _fiber_classes(fmap: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-1 if sizes[y] == 1 else rank.setdefault(y, len(rank)) for y in fmap)
 
 
-# The most wirings the index files for one shape; larger shapes stream.
-# Six 2-fibers at ``Z = C = 0`` have 10,395.
-_KEPT_XI1 = 1 << 14
-
-
 def _first_use(seq) -> tuple[int, ...]:
     """Each entry's rank of first use, so ``(5, 3, 5)`` gives ``(0, 1, 0)``."""
     rank: dict[int, int] = {}
@@ -404,151 +379,99 @@ def _first_use(seq) -> tuple[int, ...]:
 _map_pattern = lru_cache(maxsize=1024)(_first_use)
 
 
-def _file_xi1(
-    classes: tuple[int, ...], z: int, a: int, c: int
-) -> dict[tuple[int, ...], tuple[int, tuple[FinFun, ...], tuple[int, ...]]] | None:
-    """The wirings of :func:`_scan_xi1` that can solve, filed by the fibers their g-block hits.
-
-    Keyed by the pattern :func:`_filed` gives.  Each entry holds the
-    wirings in scan order, their counts of junk fibers, and the largest
-    count first, so a search whose rule on ``D`` admits that one takes the
-    wirings as they are.  None past ``_KEPT_XI1`` wirings.
-    """
-    kept = tuple(itertools.islice(_scan_xi1(classes, z, a, c), _KEPT_XI1 + 1))
-    if len(kept) > _KEPT_XI1:
-        return None
-    index: dict[tuple[int, ...], tuple[list[FinFun], list[int]]] = {}
-    for pattern, junk, xi1 in _filed(kept, classes, z, a):
-        wirings, junks = index.setdefault(pattern, ([], []))
-        wirings.append(xi1)
-        junks.append(junk)
-    return {p: (max(junks), tuple(ws), tuple(junks)) for p, (ws, junks) in index.items()}
-
-
-# The most weight the wiring index keeps, where a shape weighs one plus
-# the wirings it files, so the largest shape filed fits alone.  Under
-# tracemalloc a unit of weight takes about 280 bytes in the shapes the
-# size <= 6 searches at bounds (6, 12, 12) build (4.4 MiB full), and
-# about 470 in shapes that file one wiring of up to 12 points each, the
-# most per unit (7.3 MiB full).  The size <= 3 searches at bounds
-# (3, 6, 6) weigh 609 in all.
-_KEPT_INDEXED = _KEPT_XI1
-
-
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-
-
-class _WiringIndex:
-    """:func:`_file_xi1` memoized by shape, bounded by the wirings it keeps.
-
-    When the weight kept passes ``_KEPT_INDEXED``, the least recently used
-    shapes go until it does not.  ``cache_info`` and ``cache_clear`` read as
-    those of ``functools.lru_cache`` do, with the bound as ``maxsize``.
-    """
-
-    def __init__(self) -> None:
-        self._shapes: OrderedDict = OrderedDict()
-        self._weight = self._hits = self._misses = 0
-
-    def __call__(self, classes: tuple[int, ...], z: int, a: int, c: int):
-        key = classes, z, a, c
-        shapes = self._shapes
-        if key in shapes:
-            self._hits += 1
-            shapes.move_to_end(key)
-            return shapes[key][0]
-        self._misses += 1
-        index = _file_xi1(classes, z, a, c)
-        weight = 1 + sum(len(wirings) for _, wirings, _ in (index or {}).values())
-        shapes[key] = index, weight
-        self._weight += weight
-        while self._weight > _KEPT_INDEXED:
-            self._weight -= shapes.popitem(last=False)[1][1]
-        return index
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, _KEPT_INDEXED, len(self._shapes))
-
-    def cache_clear(self) -> None:
-        self._shapes.clear()
-        self._weight = self._hits = self._misses = 0
-
-
-_xi1_index = _WiringIndex()
-
-
-def _filed(
-    scan: Iterable[FinFun], classes: tuple[int, ...], z: int, a: int
-) -> Iterator[tuple[tuple[int, ...], int, FinFun]]:
-    """``(pattern, junk, xi1)`` for each wiring of ``scan`` whose two blocks hit disjoint fibers.
-
-    Each fiber of ``f`` is named by its class, and each singleton-fiber
-    or ``Z`` point by itself past them; the pattern is :func:`_first_use`
-    of the fibers the first ``a`` images hit, and ``junk`` counts the
-    fibers the rest hit.
-    """
-    n = len(classes)
-    fibers = tuple(k if k >= 0 else n + x for x, k in enumerate(classes + (-1,) * z))
-    for xi1 in scan:
-        hit = [fibers[x] for x in xi1.map]
-        junk = set(hit[a:])
-        if junk.isdisjoint(hit[:a]):
-            yield _first_use(hit[:a]), len(junk), xi1
-
-
-def _scan_xi1(classes: tuple[int, ...], z: int, a: int, c: int) -> Iterator[FinFun]:
+def _scan_xi1(
+    classes: tuple[int, ...],
+    z: int,
+    a: int,
+    c: int,
+    want: tuple[int, ...] | None = None,
+    limit: int = 0,
+) -> Iterator[FinFun]:
     """The orbit scan: free ``xi1 : a + c -> len(classes) + z``, in lexicographic order.
 
     The maps are injective, and the caller passes only shapes that have a
     free map, so under set-bij they are bijective.  The ``Z`` points join
     class -1; every other class is one fiber of ``f``.  The scan keeps the
-    maps in which
+    maps the orbit rules of the :mod:`pcdres.oracle` docstring allow.  So a
+    prefix extends only by the next unused member of a class, and a fiber's
+    first member only once the fiber before it is in use.
 
-    - the i-th use of each class is that class's i-th smallest member;
-    - a fiber is first used only after the fiber of its size with the
-      next smaller first member;
-    - and the images of the last ``c`` inputs increase.
+    Given ``g``'s pattern ``want`` (length ``a``) and ``limit >= 0``, it
+    keeps only the maps that pass the three tests of the oracle docstring's
+    sixth reduction, and drops a prefix as soon as it fails one.  A g-block
+    input whose label is bound takes the next member of that label's fiber;
+    one with a new label takes a fiber no g-block input hit.  At the junk
+    block the g-block's fibers are marked used up, and once the junk block
+    hits ``limit`` fibers it may only reuse them.  Each singleton-fiber or
+    ``Z`` point is a fiber of its own.  A prefix that cannot complete goes
+    too: a new label used ``r`` times in ``want`` opens only a fiber of at
+    least ``r`` points, or of exactly ``r`` when the map is onto, since the
+    junk block may not take the rest.  ``want=None`` keeps every map.
 
-    These are every orbit's least wiring, and where a junk block of three
-    or more inputs meets unused fibers of one size, some others of its
-    orbit; the :mod:`pcdres.oracle` docstring proves the first witness
-    unchanged.
-
-    So a prefix extends only by the next unused member of a class, and a
-    fiber's first member only once the fiber before it is in use.  The scan
-    pops one ``(entries, uses of each class)`` prefix off a stack and pushes
-    its extensions largest first.  The least prefix on the stack is then
-    always on top: each extension of the popped prefix is less than
-    everything beneath it, as the popped prefix was.  So the complete maps
-    come out in lexicographic order, with no recursion.
+    The scan pops one ``(entries, uses of each class, junk fibers)`` prefix
+    off a stack and pushes its extensions largest first.  The least prefix
+    on the stack is then always on top: each extension of the popped prefix
+    is less than everything beneath it, as the popped prefix was.  So the
+    complete maps come out in lexicographic order, with no recursion.
     """
     size = a + c
-    pools: dict[int, list[int]] = {}
-    for x, k in enumerate(classes + (-1,) * z):
-        pools.setdefault(k, []).append(x)
-    members = list(pools.values())
-    # after[i]: the class that must be in use before fiber i opens
+    points = classes + (-1,) * z
+    # the fibers of f in their classes' order, then class -1 (last, so index -1)
+    members: list[list[int]] = [[] for _ in range(max(classes, default=-1) + 2)]
+    for x, k in enumerate(points):
+        members[k].append(x)
+    single = len(members) - 1
+    # a fiber a new label opens must hold all its uses, and no more if onto
+    fits = int.__eq__ if size == len(points) else int.__ge__
+    # after[i]: the fiber that must be in use before fiber i opens
     after: list[int | None] = []
-    by_size: dict[int, list[int]] = {}
-    for i, (k, m) in enumerate(pools.items()):
-        same = by_size.setdefault(len(m), []) if k >= 0 else []
-        after.append(same[-1] if same else None)
-        same.append(i)
-    dom, cod = FinSet(size), FinSet(len(classes) + z)
-    stack = [((), (0,) * len(members))]
+    last: dict[int, int] = {}
+    for i, m in enumerate(members[:single]):
+        after.append(last.get(len(m)))
+        last[len(m)] = i
+    after.append(None)
+    dom, cod = FinSet(size), FinSet(len(points))
+    stack = [((), (0,) * len(members), 0)]
     while stack:
-        entries, used = stack.pop()
-        if len(entries) == size:
+        entries, used, junk = stack.pop()
+        i = len(entries)
+        if i == size:
             yield FinFun._trusted(dom, cod, entries)
             continue
-        low = entries[-1] if len(entries) > a else -1
-        nexts = [
-            (m[u], k)
-            for k, (m, u, w) in enumerate(zip(members, used, after))
-            if u < len(m) and m[u] > low and (u or w is None or used[w])
-        ]
+        if want is not None and i < a:
+            first = want.index(want[i])  # the first g-block input with this label
+            if first < i:
+                k = points[entries[first]]
+                u = used[k]
+                nexts = [] if k < 0 or u == len(members[k]) else [(members[k][u], k)]
+            else:  # a new label, with as many uses as it has in want
+                r = want.count(want[i])
+                nexts = [
+                    (m[u], k)
+                    for k, (m, u, w) in enumerate(zip(members, used, after))
+                    if (
+                        r == 1 and u < len(m)
+                        if k == single
+                        else not u and (w is None or used[w]) and fits(len(m), r)
+                    )
+                ]
+        else:
+            if i == a and want is not None:  # the g-block's fibers are used up
+                used = tuple([
+                    len(m) if u and k != single else u
+                    for k, (m, u) in enumerate(zip(members, used))
+                ])
+            low = entries[-1] if i > a else -1
+            nexts = [
+                (m[u], k)
+                for k, (m, u, w) in enumerate(zip(members, used, after))
+                if u < len(m) and m[u] > low and (u or w is None or used[w])
+            ]
+            if want is not None and junk >= limit:
+                nexts = [(x, k) for x, k in nexts if k != single and used[k]]
         for x, k in sorted(nexts, reverse=True):
-            stack.append((entries + (x,), used[:k] + (used[k] + 1,) + used[k + 1 :]))
+            new = i >= a and (k == single or not used[k])
+            stack.append((entries + (x,), used[:k] + (used[k] + 1,) + used[k + 1 :], junk + new))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ The search contract: a theory's ``candidates`` may leave out candidates
 and keep the rest in the plain scan's order, provided it keeps the first
 candidate of the plain scan that solves.  The witness is then unchanged,
 since every candidate kept before that one is also before it in the plain
-scan, hence does not solve.  The set theories leave out three kinds.
+scan, hence does not solve.  The set theories make six reductions: the
+levels, four symmetries of the wirings, and the wirings that do not solve.
 
 Levels.  They skip, from sizes alone, every level ``(Z, C)`` that holds no
 free ``xi1 : A + C -> dom(f) + Z`` or, for every ``D <= max_d``, no free
@@ -39,8 +40,8 @@ rejects every candidate of a skipped level for exactly these reasons.
 ``convert._scan_levels`` streams the levels from ``dom(f) - dom(g)``,
 ``cod(f) - cod(g)`` and the bounds alone, so huge bounds cost no memory.
 The search builds ``f + 1_Z`` only when a ``Z`` yields its first wiring to
-try, so a level with no filed wiring costs only the rule on ``D`` and two
-cached lookups, and a negative search never pads.
+try, so a level with no wiring that can solve costs only the rule on ``D``
+and one pruned scan, and a negative search never pads.
 
 Orbits.  Four symmetries of the equation act on the wirings ``xi1``:
 
@@ -69,34 +70,33 @@ generation, as in McKay, J. Algorithms 1998).  The classes are read from
 the fiber partition of ``f.map``, never from profile counts, so the search
 stays independent of :func:`pcdres.convert.decide`.
 
-Wirings that do not solve.  ``m = (f + 1_Z) . xi1`` joins two inputs
-exactly when their images lie in one fiber of ``f + 1_Z``, where each
-singleton-fiber point and each ``Z`` point is a fiber of its own.
-``solve_discard`` makes three tests, and each reads only those fibers.  The
-forced images ``xi2(m(i)) = g(i)`` of the g-block (the first ``|A|``
-inputs) neither conflict (``m`` joins two inputs that ``g`` parts) nor
-merge (``g`` joins two inputs that ``m`` parts) exactly when the fibers the
-g-block hits, each named by its rank of first use, form the same pattern as
-``g.map``.  No forced point is also a junk image exactly when the junk
-block hits no fiber the g-block hits.  And with ``junk`` the number of
-fibers the junk block hits, the least ``D`` is
+Wirings that do not solve, the sixth reduction.  ``m = (f + 1_Z) . xi1``
+joins two inputs exactly when their images lie in one fiber of ``f + 1_Z``,
+where each singleton-fiber point and each ``Z`` point is a fiber of its
+own.  ``solve_discard`` makes three tests, and each reads only those
+fibers.  The forced images ``xi2(m(i)) = g(i)`` of the g-block (the first
+``|A|`` inputs) neither conflict (``m`` joins two inputs that ``g`` parts)
+nor merge (``g`` joins two inputs that ``m`` parts) exactly when the fibers
+the g-block hits, each named by its rank of first use, form the same
+pattern as ``g.map``.  No forced point is also a junk image exactly when
+the junk block hits no fiber the g-block hits.  And with ``junk`` the
+number of fibers the junk block hits, the least ``D`` is
 ``max(cod(f) + Z - cod(g), junk, 0)``; it must not pass ``max_d``, and
 under set-bij it must equal ``cod(f) + Z - cod(g)``
 (``TheoryVariant._junk_limit``).  When all three hold, ``solve_discard``
-returns a witness (proof in its docstring).  So ``convert._xi1_index``
-files each wiring the orbit scan keeps once, in scan order, under its
-g-block's pattern and with its ``junk`` count, and drops those whose two
-blocks share a fiber; a search reads only the wirings filed under ``g``'s
-pattern whose ``junk`` passes the rule on ``D``.  A positive search
-therefore calls ``solve_discard`` once and a negative one never.  Like the
-classes, the index reads only ``f``'s fiber partition and ``g``'s map and
-sizes.  It keeps a shape's wirings up to ``convert._KEPT_XI1`` (16,384) of
-them and caches None for a larger shape, whose wirings the search streams
-from the same scan, in the same order, through the same test.  Over all
-shapes it keeps at most ``convert._KEPT_INDEXED`` (16,384) wirings, each
-shape counting one more, and drops the least recently used shapes past
-that; a later search files a dropped shape again, as it was.  So memory
-stays bounded, at about 7 MiB at most for shapes of up to 12 points.
+returns a witness (proof in its docstring).  Each test is decided by a
+prefix of the wiring, and a prefix that fails one fails in every
+extension: a g-block input must hit the fiber already bound to its label
+in ``g``'s pattern or, for a new label, a fiber no earlier g-block input
+hit; a junk input must avoid every g-block fiber; and the junk fibers hit
+so far must not pass the rule on ``D``.  So ``convert._scan_xi1``, given
+``g``'s pattern and that rule, drops a prefix as soon as it fails one.
+The pruning is prefix-closed: the scan yields exactly the orbit scan's
+wirings that pass all three, in the same order, so the first witness is
+unchanged.  A positive search therefore calls ``solve_discard`` once and
+a negative one never.  Like the classes, the pruning reads only ``f``'s
+fiber partition and ``g``'s map and sizes, and the scan keeps nothing
+once a level is done.
 
 First candidates.  Every wiring the set theories yield passes those three
 tests, so the first one solves and the stream's first element decides the
@@ -105,8 +105,8 @@ classes, ``g``'s first-use pattern and ``cod(f) - cod(g)`` (``dom(f)``
 and ``dom(g)`` are the lengths of the first two), besides the bounds, so
 ``convert._first_candidate`` caches its first element, or None, under
 exactly that key.  A search whose key was seen is one lookup: no level
-is walked and no index read, and the rest of the stream is built only if
-a caller pulls past its first element.  The cache keeps 4,096 entries,
+is walked and no wiring scanned, and the rest of the stream is built
+only if a caller pulls past its first element.  The cache keeps 4,096 entries,
 about 1 MiB; the 7,200 size <= 3 searches at bounds (3, 6, 6) share 630
 keys.  Since ``f + 1_0`` is ``f``, a witness at ``Z = 0`` pads nothing.
 

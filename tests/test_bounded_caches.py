@@ -5,9 +5,7 @@ A memo is a function wrapped by ``functools.lru_cache`` or
 Its ``maxsize`` is read from the call: a bare ``lru_cache`` has 128,
 ``cache`` has None, and a name is looked up among the module's top-level
 constant assignments.  A memo with no bound is unbounded, and it must be
-on :data:`UNBOUNDED`, which says what keeps it small.  The oracle's wiring
-index, ``convert._xi1_index``, is bounded by the wirings it keeps rather
-than by its entries; ``tests/test_oracle.py`` fills it.
+on :data:`UNBOUNDED`, which says what keeps it small.
 """
 
 import ast

@@ -524,7 +524,9 @@ def _widen(m, side):
     return FinFun(dom, cod, m.map + ((y,) if side == "dom" else ()))
 
 
-@pytest.mark.parametrize("part, side", [("xi1", "dom"), ("xi2", "dom"), ("xi2", "cod")])
+@pytest.mark.parametrize(
+    "part, side", [("xi1", "dom"), ("xi1", "cod"), ("xi2", "dom"), ("xi2", "cod")]
+)
 @pytest.mark.parametrize("variant", list(SHAPE_PAIRS))
 def test_check_witness_rejects_one_widened_part(capsys, variant, part, side):
     theory = cli.THEORIES[variant]

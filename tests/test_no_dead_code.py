@@ -10,7 +10,10 @@ definition, as a name, an attribute or an imported name.
 The prose names no private helper that is gone: each private name that a
 docstring under ``src/pcdres`` or ``README.md`` quotes in backticks, bare
 (``_x``), dotted (``convert._x``) or in a ``:func:``/``:meth:`` role, is
-defined under ``src/pcdres``.
+defined under ``src/pcdres``.  The module docstrings under ``tests`` are
+held to the private names they qualify by a module of ``src/pcdres``: each
+``convert._x`` they quote is defined in ``convert``.  This file's own
+docstring, whose names are examples, is left out.
 """
 
 import ast
@@ -22,6 +25,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pcdres"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(p for p in (ROOT / "tests").glob("*.py") if p.name != Path(__file__).name)
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -187,6 +191,23 @@ def stale_private_names(sources: dict[str, str], prose: dict[str, str]) -> list[
     return stale
 
 
+def stale_qualified_names(sources: dict[str, str], docs: dict[str, str]) -> list[str]:
+    """``where:module._name`` for each such name quoted in ``docs`` that the module lacks.
+
+    ``sources`` maps file names to module sources; only names qualified by
+    one of those modules, as ``convert._x`` or ``pcdres.convert._x``, count.
+    """
+    defined = {Path(name).stem: _defined_names(ast.parse(src)) for name, src in sources.items()}
+    stale = []
+    for where, text in docs.items():
+        for quoted in _QUOTED.findall(text):
+            *qualifier, name = quoted.split(".")
+            module = qualifier[-1] if qualifier else None
+            if _private(name) and module in defined and name not in defined[module]:
+                stale.append(f"{where}:{module}.{name}")
+    return stale
+
+
 def test_detector_finds_stale_private_names_in_prose():
     source = (
         '"""Reads ``convert._gone`` and ``_LIMIT``; see :func:`_kept`."""\n'
@@ -204,9 +225,20 @@ def test_detector_finds_stale_private_names_in_prose():
     assert stale_private_names({"mod": source}, prose) == [
         "mod:_gone", "mod:_lost", "mod:_none", "README.md:_old", "README.md:_older"
     ]
+    sources = {"mod.py": source, "other.py": "_gone = 2\n"}
+    docs = {
+        "test_a.py": "Fills ``mod._kept`` and ``pcdres.mod._gone``; ``other._gone`` is there.",
+        "test_b.py": "Bare ``_old``, ``Box._old`` and ``other._kept``.",
+    }
+    assert stale_qualified_names(sources, docs) == ["test_a.py:mod._gone", "test_b.py:other._kept"]
 
 
 def test_prose_names_only_private_names_that_exist():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     prose = {"README.md": (ROOT / "README.md").read_text(encoding="utf-8")}
     assert stale_private_names(sources, prose) == []
+    docs = {
+        path.name: ast.get_docstring(ast.parse(path.read_text(encoding="utf-8"))) or ""
+        for path in TESTS
+    }
+    assert stale_qualified_names(sources, docs) == []

@@ -3,8 +3,8 @@
 The search is the independent route: it never looks at fiber profiles, only at
 the defining equation.  These tests pin its output on worked examples, compare
 the one-pass discarding solver, the symmetry-reduced ``xi1`` scan and the
-level pruning against plain enumeration, and check the order structure the
-search recovers.
+level pruning against plain enumeration, the pruned scan against the
+filtered orbit scan, and check the order structure the search recovers.
 """
 
 import gc
@@ -49,7 +49,6 @@ from pcdres.convert import (
     _map_pattern,
     _scan_levels,
     _scan_xi1,
-    _xi1_index,
 )
 from pcdres.finset import _compact_json
 from pcdres.oracle import REL_TIMES_THEORY, BoundsTooTightError, TheoryInstance
@@ -242,12 +241,11 @@ def _witness_json(w):
     return None if w is None else _compact_json(witness_to_dict(w))
 
 
-def test_indexed_search_matches_orbit_scan(monkeypatch):
-    # the index keeps only the wirings that solve, so each positive search
-    # calls solve_discard once and each negative never, and f + 1_Z is
-    # built only for a wiring to try: once or never; the witness bytes
-    # are those of the orbit scan that tries every orbit-least wiring.
-    # Once with every shape filed, once with every shape streamed.
+def test_indexed_search_matches_orbit_scan():
+    # the pruned scan yields only the wirings that solve, so each positive
+    # search calls solve_discard once and each negative never, and f + 1_Z
+    # is built only for a wiring to try: once or never; the witness bytes
+    # are those of the orbit scan that tries every orbit-least wiring
     funs = list(enumerate_all_functions(3))
     cases = [
         (bounds, variant, f, g)
@@ -257,25 +255,14 @@ def test_indexed_search_matches_orbit_scan(monkeypatch):
         for g in funs
     ]
     expected = [_witness_json(oracle_convertible(OrbitScan(v), f, g, b)) for b, v, f, g in cases]
-    for kept in (True, False):
-        _xi1_index.cache_clear()
-        _first_candidate.cache_clear()
-        if not kept:
-            monkeypatch.setattr(convert, "_KEPT_XI1", 0)
-        tally = {True: Counter(), False: Counter()}
-        for (bounds, variant, f, g), want in zip(cases, expected):
-            counted = Counted(variant)
-            got = _witness_json(oracle_convertible(counted, f, g, bounds))
-            assert got == want, (kept, bounds, variant, f, g)
-            tally[got is not None][counted.calls, counted.pads] += 1
-        assert tally == {True: {(1, 1): 9587}, False: {(0, 0): 12013}}
-        # every shape is indexed once; a streamed one caches None, no wirings
-        info = _xi1_index.cache_info()
-        assert info.misses == info.currsize
-        index = _xi1_index(_fiber_classes((0, 0, 1)), 0, 1, 0)
-        assert _xi1_index.cache_info().hits == info.hits + 1
-        assert (index is not None) == kept
-    _xi1_index.cache_clear()
+    _first_candidate.cache_clear()
+    tally = {True: Counter(), False: Counter()}
+    for (bounds, variant, f, g), want in zip(cases, expected):
+        counted = Counted(variant)
+        got = _witness_json(oracle_convertible(counted, f, g, bounds))
+        assert got == want, (bounds, variant, f, g)
+        tally[got is not None][counted.calls, counted.pads] += 1
+    assert tally == {True: {(1, 1): 9587}, False: {(0, 0): 12013}}
     _first_candidate.cache_clear()
 
 
@@ -413,38 +400,84 @@ def test_equal_fibers_cut_the_wirings_of_f_equals_g():
             assert list(variant.candidates(f, f, SearchBounds(0, 0, 0))) == [(0, 0, got[0])]
 
 
-def test_large_shapes_stream_in_the_cached_order(monkeypatch):
+def _solvable(scan, classes, z, a, want, limit):
+    """The wirings of ``scan`` that pass the three tests of the sixth reduction.
+
+    Each fiber of ``f`` is named by its class, and each singleton-fiber or
+    ``Z`` point by itself past them.  A wiring passes when the fibers its
+    first ``a`` images hit form the pattern ``want``, the rest hit none of
+    them, and the rest hit at most ``limit`` fibers.
+    """
+    n = len(classes)
+    fibers = tuple(k if k >= 0 else n + x for x, k in enumerate(classes + (-1,) * z))
+    for xi1 in scan:
+        hit = [fibers[x] for x in xi1.map]
+        junk = set(hit[a:])
+        if _first_use(hit[:a]) == want and junk.isdisjoint(hit[:a]) and len(junk) <= limit:
+            yield xi1
+
+
+def _large_shape_patterns():
+    """Eight points in four 2-fibers, and one g per way six inputs can hit fibers of ``f + 1_Z``.
+
+    That is each partition of six points into blocks of at most two.
+    """
     f = _fibers_of_two(4)
-    classes = _fiber_classes(f.map)
-    assert len(orbit_scan(TheoryVariant.SET_INJ, f, 1, 6, 3)) == 210
-    # one g per way the six inputs can hit fibers of f + 1_Z: each
-    # partition of six points into blocks of at most two
     patterns = {_first_use(m) for m in itertools.product(range(6), repeat=6)}
     gs = [FinFun.from_map(p, 6) for p in patterns if max(Counter(p).values()) <= 2]
+    return f, gs
+
+
+def test_pruned_scan_is_the_filtered_orbit_scan():
+    # every fiber partition of up to four points, Z <= 2, every shape with a
+    # free map under set-inj (set-bij's are among them), every first-use
+    # pattern of the g-block and junk limits 0-3; then the 210-wiring shape
+    cases = []
+    for classes in {_fiber_classes(f.map) for f in enumerate_all_functions(4)}:
+        for z in range(3):
+            n = len(classes) + z
+            for a, c in itertools.product(range(n + 1), repeat=2):
+                if a + c <= n:
+                    patterns = {_first_use(p) for p in itertools.product(range(a), repeat=a)}
+                    cases += [(classes, z, a, c, want) for want in patterns]
+    f, gs = _large_shape_patterns()
+    large = [(_fiber_classes(f.map), 1, 6, 3, _map_pattern(g.map)) for g in gs]
+    assert len(cases) == 9288 and len(large) == 76
+    kept = 0
+    for classes, z, a, c, want in cases + large:
+        scan = list(_scan_xi1(classes, z, a, c))
+        for limit in range(4):
+            pruned = list(_scan_xi1(classes, z, a, c, want, limit))
+            assert pruned == list(_solvable(scan, classes, z, a, want, limit)), (
+                classes, z, a, c, want, limit
+            )
+            kept += len(pruned)
+    assert kept > 0
+
+
+def test_large_shapes_stream_in_the_cached_order():
+    # the stream after the cached first candidate is the filtered orbit
+    # scan, level by level, on a shape of 210 orbit-least wirings
+    f, gs = _large_shape_patterns()
+    classes = _fiber_classes(f.map)
+    assert len(orbit_scan(TheoryVariant.SET_INJ, f, 1, 6, 3)) == 210
     assert len(gs) == 76
-    # levels up to Z = 1, C = 3, the shape above
-    requests = [(g, SearchBounds(1, 3, max_d)) for g in gs for max_d in (2, 6)]
-
-    def candidates():
-        return [list(TheoryVariant.SET_INJ.candidates(f, g, b)) for g, b in requests]
-
-    _xi1_index.cache_clear()
-    _first_candidate.cache_clear()
-    cached = candidates()
-    assert sum(1 for found in cached for z, c, _ in found if (z, c) == (1, 3)) > 10
-    assert _xi1_index(classes, 1, 6, 3) is not None
-    _xi1_index.cache_clear()
-    _first_candidate.cache_clear()
-    monkeypatch.setattr(convert, "_KEPT_XI1", 10)
-    assert candidates() == cached
-    # the shape past the cap caches None, and no wirings
-    hits = _xi1_index.cache_info().hits
-    assert _xi1_index(classes, 1, 6, 3) is None
-    assert _xi1_index.cache_info().hits == hits + 1
-    # a shape within the cap is still kept
-    assert list(TheoryVariant.SET_INJ.candidates(f, POINT, SearchBounds(0, 0, 3)))
-    assert _xi1_index(classes, 0, 1, 0)
-    _xi1_index.cache_clear()
+    variant = TheoryVariant.SET_INJ
+    at_the_shape = 0
+    for g in gs:
+        a, want = g.dom.size, _map_pattern(g.map)
+        # levels up to Z = 1, C = 3, the shape above
+        for bounds in (SearchBounds(1, 3, 2), SearchBounds(1, 3, 6)):
+            expected = []
+            for z, c in scanned_levels(variant, f, g, bounds):
+                limit = variant._junk_limit(f.cod.size + z - g.cod.size, bounds.max_d)
+                scan = orbit_scan(variant, f, z, a, c)
+                expected += [(z, c, xi1) for xi1 in _solvable(scan, classes, z, a, want, limit)]
+            _first_candidate.cache_clear()
+            assert list(variant.candidates(f, g, bounds)) == expected, (g, bounds)
+            assert list(variant.candidates(f, g, bounds)) == expected, (g, bounds)
+            at_the_shape += sum(1 for z, c, _ in expected if (z, c) == (1, 3))
+    assert at_the_shape > 10
     _first_candidate.cache_clear()
 
 
@@ -544,7 +577,6 @@ def test_huge_bounds_stream_their_levels():
     huge = SearchBounds(10**6, 10**6, 10**6)
     f, g = FinFun.from_map([0, 0, 1], 2), POINT
     reference = list(itertools.islice(reference_levels(TheoryVariant.SET_INJ, f, g, huge), 400))
-    _xi1_index.cache_clear()
     _first_candidate.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -558,7 +590,6 @@ def test_huge_bounds_stream_their_levels():
     order = {level: k for k, level in enumerate(reference)}
     ranks = [order[z, c] for z, c, _ in pulled]
     assert ranks == sorted(ranks) and ranks[-1] > 100
-    _xi1_index.cache_clear()
     _first_candidate.cache_clear()
     # the second pair's set-bij witness needs Z = 2, C = 2 and D = 1
     for g in (POINT, identity(FinSet(2))):
@@ -586,7 +617,7 @@ def test_oracle_caches_stay_small():
     # the size <= 3 sweep at bounds (3, 6, 6) leaves under 0.5 MB behind
     funs = list(enumerate_all_functions(3))
     bounds = SearchBounds(3, 6, 6)
-    caches = (_xi1_index, _first_candidate, _map_pattern, _fiber_classes, _free_funs)
+    caches = (_first_candidate, _map_pattern, _fiber_classes, _free_funs)
     for cache in caches:
         cache.cache_clear()
     gc.collect()
@@ -610,17 +641,22 @@ def test_a_seen_key_answers_without_levels_or_index(monkeypatch):
     f, g = FinFun.from_map([0, 0, 1], 2), FinFun.from_map([0, 0, 0], 2)
     twins = FinFun.from_map([1, 1, 0], 2), FinFun.from_map([1, 1, 1], 2)
     bounds = SearchBounds(3, 6, 6)
-    scans = []
+    calls = Counter()
 
-    def counted_levels(*sizes):
-        scans.append(sizes)
-        return _scan_levels(*sizes)
+    def counted(name):
+        real = getattr(convert, name)
 
-    monkeypatch.setattr(convert, "_scan_levels", counted_levels)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(convert, name, wrapper)
+
+    counted("_scan_levels")
+    counted("_scan_xi1")
 
     def lookups():
-        info = _xi1_index.cache_info()
-        return len(scans), info.hits + info.misses
+        return calls["_scan_levels"], calls["_scan_xi1"]
 
     for variant in TheoryVariant:
         _first_candidate.cache_clear()
@@ -682,64 +718,6 @@ def test_a_full_first_candidate_cache_stays_near_a_mebibyte():
         tracemalloc.stop()
     assert _first_candidate.cache_info().maxsize == convert._KEPT_FIRSTS == 4096
     assert 0.5 * 2**20 < full - empty < 1.25 * 2**20
-
-
-def _one_wiring_shapes():
-    """Shapes that file one wiring each, lightest first: ``f`` of ``n`` singleton fibers.
-
-    Each wiring sends the ``a + c`` inputs to the first points of
-    ``f + 1_Z``.  ``f`` and the wirings have at most 12 points each; the
-    size <= 6 searches at bounds (6, 12, 12) build no longer wirings, for
-    an ``f`` of at most 6.  A shape weighs 2, the least a filed wiring
-    brings, so these carry the most bytes per unit of weight.
-    """
-    shapes = [
-        ((-1,) * n, z, a, c)
-        for n in range(13)
-        for z in range(13)
-        for a in range(13)
-        for c in range(13 - a)
-        if a + c <= n + z
-    ]
-    return sorted(shapes, key=lambda s: (len(s[0]) + s[2] + s[3], s))
-
-
-def test_the_wiring_index_evicts_the_least_recently_used_shapes():
-    shapes = _one_wiring_shapes()
-    assert len(shapes) * 2 > convert._KEPT_INDEXED == convert._KEPT_XI1 == 16384
-    _xi1_index.cache_clear()
-    first = shapes[0]
-    for k, shape in enumerate(shapes):
-        assert len(_xi1_index(*shape)) == 1
-        if k % 1000 == 0:
-            _xi1_index(*first)  # a hit keeps it
-    info = _xi1_index.cache_info()
-    assert (info.misses, info.currsize) == (len(shapes), convert._KEPT_INDEXED // 2)
-    kept = [shape for shape in _xi1_index._shapes if shape != first]
-    assert len(kept) == info.currsize - 1 and kept == shapes[-len(kept) :]
-    _xi1_index.cache_clear()
-
-
-def test_a_full_wiring_index_stays_under_eight_mebibytes(monkeypatch):
-    # at a sixteenth of the bound, under tracemalloc, with the heaviest
-    # shapes kept; the bytes per unit of weight do not depend on the bound
-    scale = 16
-    monkeypatch.setattr(convert, "_KEPT_INDEXED", convert._KEPT_INDEXED // scale)
-    shapes = _one_wiring_shapes()[-convert._KEPT_INDEXED :]
-    _xi1_index.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        empty, _ = tracemalloc.get_traced_memory()
-        for shape in shapes:
-            _xi1_index(*shape)
-        gc.collect()
-        full, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        _xi1_index.cache_clear()
-    assert _xi1_index.cache_info().maxsize * scale == 16384
-    assert 5 * 2**20 < (full - empty) * scale < 8 * 2**20
 
 
 def test_cached_witnesses_match_fresh_searches():
