@@ -70,9 +70,9 @@ class TheoryInstance:
     command line calls ``witness(f, g)`` and the two ``*_from_dict`` decoders.
     The oracle's search tries the candidates ``(Z, C, xi1)`` that
     ``candidates`` yields: every level and every free morphism by default.
-    The set theories narrow that to the levels where free wirings exist
-    and to the wirings that solve among those their orbit scan keeps; the
-    :mod:`pcdres.oracle` docstring states the contract.
+    The set theories yield at most one: the first wiring that solves among
+    those their orbit scan keeps on the levels where free wirings exist;
+    the :mod:`pcdres.oracle` docstring states the contract.
     """
 
     name: str
@@ -193,21 +193,18 @@ class TheoryVariant(TheoryInstance, enum.Enum):
         return iter(_free_funs(self, getattr(dom, "size", dom), getattr(cod, "size", cod)))
 
     def candidates(self, f: FinFun, g: FinFun, bounds) -> Iterator[tuple[int, int, FinFun]]:
-        """The stream of :func:`_candidate_stream`, its first element cached.
+        """The cached :func:`_first_candidate` alone, or nothing.
 
-        The stream reads ``f`` and ``g`` only through ``f``'s fiber
-        classes, ``g``'s first-use pattern and ``cod(f) - cod(g)``, so
-        those and the bounds key it.  Its first element comes from
-        :func:`_first_candidate`; the rest is streamed only if pulled.
+        The scan reads ``f`` and ``g`` only through ``f``'s fiber classes,
+        ``g``'s first-use pattern and ``cod(f) - cod(g)``, so those and the
+        bounds key it.  Its first wiring always solves, so the search
+        contract lets every later one go.
         """
-        key = (
+        first = _first_candidate(
             self, _fiber_classes(f.map), _map_pattern(g.map), f.cod.size - g.cod.size,
             bounds.max_z, bounds.max_c, bounds.max_d,
         )
-        first = _first_candidate(*key)
-        if first is None:
-            return iter(())
-        return itertools.chain((first,), itertools.islice(_candidate_stream(*key), 1, None))
+        return iter(()) if first is None else iter((first,))
 
     def _junk_limit(self, spare: int, max_d: int) -> int:
         """The most junk fibers a solvable wiring may hit, or -1 if none solves.
@@ -286,29 +283,6 @@ def _free_funs(variant: TheoryVariant, dom_size: int, cod_size: int) -> tuple[Fi
     return tuple(enumerate_injections(dom_size, cod_size))
 
 
-def _candidate_stream(
-    variant: TheoryVariant,
-    classes: tuple[int, ...],
-    want: tuple[int, ...],
-    spare: int,
-    max_z: int,
-    max_c: int,
-    max_d: int,
-) -> Iterator[tuple[int, int, FinFun]]:
-    """The wirings that solve, level by level, in scan order.
-
-    ``classes`` is ``f``'s :func:`_fiber_classes`, ``want`` is ``g``'s
-    :func:`_map_pattern` and ``spare = cod(f) - cod(g)``; ``dom(f)`` and
-    ``dom(g)`` are their lengths.  Each level of :func:`_scan_levels` gets
-    the pruned :func:`_scan_xi1`; the :mod:`pcdres.oracle` docstring states
-    why the first witness is unchanged.
-    """
-    a = len(want)
-    for z, c in _scan_levels(variant, len(classes) - a, spare, max_z, max_c, max_d):
-        for xi1 in _scan_xi1(classes, z, a, c, want, variant._junk_limit(spare + z, max_d)):
-            yield z, c, xi1
-
-
 # The most first candidates kept.  Under tracemalloc an entry takes about
 # 216 bytes where entries share their key tuples (the size <= 3 searches)
 # and about 260 where each brings its own (fresh maps of up to five
@@ -326,13 +300,20 @@ def _first_candidate(
     max_c: int,
     max_d: int,
 ) -> tuple[int, int, FinFun] | None:
-    """The first element of :func:`_candidate_stream`, or None if it is empty.
+    """The first wiring that solves, level by level in scan order, or None.
 
-    The key is exact: the stream reads nothing but these arguments.  The
-    :mod:`pcdres.oracle` docstring ("First candidates") says why that
-    element decides the search.
+    ``classes`` is ``f``'s :func:`_fiber_classes`, ``want`` is ``g``'s
+    :func:`_map_pattern` and ``spare = cod(f) - cod(g)``; ``dom(f)`` and
+    ``dom(g)`` are their lengths.  Each level of :func:`_scan_levels` gets
+    the pruned :func:`_scan_xi1`.  The key is exact: the scan reads nothing
+    but these arguments.  The :mod:`pcdres.oracle` docstring ("First
+    candidates") says why this wiring decides the search.
     """
-    return next(_candidate_stream(variant, classes, want, spare, max_z, max_c, max_d), None)
+    a = len(want)
+    for z, c in _scan_levels(variant, len(classes) - a, spare, max_z, max_c, max_d):
+        for xi1 in _scan_xi1(classes, z, a, c, want, variant._junk_limit(spare + z, max_d)):
+            return z, c, xi1
+    return None
 
 
 def _scan_levels(
@@ -501,38 +482,26 @@ def _form(variant: TheoryVariant, counts: list[int]) -> list[int]:
     return counts
 
 
-def _dense_form(variant: TheoryVariant, f: FinFun) -> list[int]:
-    """``f``'s normal form as a list indexed by fiber size; trailing zeros are allowed."""
-    return _form(variant, size_counts(f))
-
-
-def _dominates(a: list[int], b: list[int]) -> bool:
-    """Pointwise dominance of two dense forms of any lengths.
-
-    Never list ``>=``: that order is lexicographic.
-    """
-    return all(map(int.__ge__, a, b)) and not any(b[len(a):])
-
-
 def normal_form(variant: TheoryVariant, f: FinFun) -> Profile:
     """The complete invariant of ``f``'s convertibility class.
 
     Multiplicity counts under set-bij, tail counts under set-inj, less the
-    excluded indices.  :func:`decide` reads them from the fiber counts and
-    the family check compares them as dense lists; this is the sparse
-    :class:`Profile` of their nonzero entries, for callers.
+    excluded indices.  :func:`decide` and the family check compare them
+    straight from the fiber counts; this is the sparse :class:`Profile` of
+    their nonzero entries, for callers.
     """
-    return Profile._trusted({i: n for i, n in enumerate(_dense_form(variant, f)) if n})
+    return Profile._trusted({i: n for i, n in enumerate(_form(variant, size_counts(f))) if n})
 
 
 def _converts(variant: TheoryVariant, a: list[int], b: list[int]) -> bool:
     """Whether the :func:`size_counts` list ``a`` dominates ``b`` in normal form.
 
-    On lists of non-negative counts it equals
-    ``_dominates(_form(variant, a.copy()), _form(variant, b.copy()))``, but
-    it reads the counts in one early-exit pass that builds no list and
-    changes neither argument.  Missing entries count as 0, so entries of
-    ``b`` past the end of ``a`` must be 0 from index 2 on.  Under set-bij
+    On lists of non-negative counts it equals pointwise dominance of
+    ``_form(variant, a.copy())`` over ``_form(variant, b.copy())``, the
+    shorter list read as padded with zeros, but it reads the counts in one
+    early-exit pass that builds no list and changes neither argument.
+    Missing entries count as 0, so entries of ``b`` past the end of ``a``
+    must be 0 from index 2 on.  Under set-bij
     index 0 and every index from 2 on compare pointwise; index 1 is free.
     Under set-inj the two tails are summed from the top index down to 2,
     and the first index where ``a``'s falls below ``b``'s refutes.

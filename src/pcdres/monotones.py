@@ -23,21 +23,22 @@ two of them.  Most of the screen's work does not depend on ``mu``: the
 processes, their unions, the fiber counts the built-in measures read, and
 which process each free wiring of a process gives.  The processes and
 unions always carry their counts in ``FinFun``'s private memo slot, and a
-union's counts are counted once per pair of its parts' counts.  Up to size
-limit 3 the first screen builds these tables and later screens reuse them,
-with the wirings kept as rows of process indices, so the monotonicity test
-compares two stored values per wiring.  Above size limit 3 each screen
-builds its own, the unions and wirings one at a time, because size limit 4
-already has 249,001 unions.  A union whose value equals the sum of its
-parts' values exactly passes additivity without the tolerance arithmetic;
-that shortcut is taken only when every value is a float and no such sum
-can be infinite, since ``inf == inf`` though ``inf - inf`` fails the
-tolerance test.
+union's counts are counted once per pair of its parts' counts.  The
+processes of the last eight size limits screened are kept.  Up to size
+limit 3 the first screen also builds the unions and wirings and later
+screens reuse them, with the wirings kept as rows of process indices, so
+the monotonicity test compares two stored values per wiring.  Above size
+limit 3 each screen streams its own unions and wirings one at a time,
+because size limit 4 already has 249,001 unions.  A union whose value
+equals the sum of its parts' values exactly passes additivity without the
+tolerance arithmetic; that shortcut is taken only when every value is a
+float and no such sum can be infinite, since ``inf == inf`` though
+``inf - inf`` fails the tolerance test.
 :func:`induce_monotone` packages a passing measure as a function of normal
 forms; :func:`check_complete_family` tests whether a family of passing
 measures jointly characterizes convertibility, comparing classes of
-processes with equal dense normal forms and equal values rather than pairs
-of processes.  All three reject a tolerance that is not a finite
+processes with equal normal forms and equal values rather than pairs of
+processes.  All three reject a tolerance that is not a finite
 non-negative number, and a size limit that is not a non-negative ``int``,
 with :class:`ValueError`.
 
@@ -61,7 +62,7 @@ import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from .convert import TheoryVariant, _dense_form, _dominates, normal_form, representative
+from .convert import TheoryVariant, _converts, _form, normal_form, representative
 from .finset import (
     FinFun,
     _compact_json,
@@ -171,36 +172,29 @@ class CheckReport:
         )
 
 
-# The screen keeps its tables for a size limit while the ordered pairs of
-# enumerated processes number at most this: size limit 3 has 3,600 (about
-# 0.85 MiB with the counts and both variants' wirings), size limit 4 has
-# 249,001 (tens of MiB), so size limits above 3 stream them.
+# The screen keeps its unions and wirings for a size limit while the ordered
+# pairs of enumerated processes number at most this: size limit 3 has 3,600
+# (about 0.85 MiB with the counts and both variants' wirings), size limit 4
+# has 249,001 (tens of MiB), so size limits above 3 stream them.
 _KEPT_UNIONS = 1 << 16
 
 
 def _keeps_tables(size_limit: int) -> bool:
-    """Whether screens at ``size_limit`` keep their processes, unions and wirings."""
+    """Whether screens at ``size_limit`` keep their unions and wirings."""
     processes = sum(c**d for d in range(size_limit + 1) for c in range(size_limit + 1))
     return processes * processes <= _KEPT_UNIONS
 
 
+@functools.lru_cache(maxsize=8)
 def _processes(size_limit: int) -> tuple[FinFun, ...]:
-    """The processes up to ``size_limit`` in enumeration order, with their counts."""
+    """The processes up to ``size_limit`` in enumeration order, with their counts.
+
+    Every screen, family check and ``induce_monotone`` reads them from here.
+    """
     funs = tuple(enumerate_all_functions(size_limit))
     for f in funs:
         _set_fun_counts(f, tuple(size_counts(f)))
     return funs
-
-
-# the processes kept for the run where :func:`_keeps_tables` holds
-_kept_processes = functools.lru_cache(maxsize=None)(_processes)
-
-
-def _screened_processes(size_limit: int) -> tuple[FinFun, ...]:
-    """The processes every screen and family check reads: kept up to size limit 3."""
-    if _keeps_tables(size_limit):
-        return _kept_processes(size_limit)
-    return _processes(size_limit)
 
 
 def _unions(funs: tuple[FinFun, ...]) -> Iterator[FinFun]:
@@ -223,7 +217,7 @@ def _unions(funs: tuple[FinFun, ...]) -> Iterator[FinFun]:
 @functools.lru_cache(maxsize=None)
 def _kept_unions(size_limit: int) -> tuple[FinFun, ...]:
     """The :func:`_unions` of the kept processes up to ``size_limit``."""
-    return tuple(_unions(_kept_processes(size_limit)))
+    return tuple(_unions(_processes(size_limit)))
 
 
 # (i, xi, k, side): the free wiring xi of process i gives process k
@@ -250,7 +244,7 @@ def _free_wirings(
 @functools.lru_cache(maxsize=None)
 def _kept_wirings(variant: TheoryVariant, size_limit: int) -> tuple[_Wiring, ...]:
     """The rows of :func:`_free_wirings` on the kept processes."""
-    return tuple(_free_wirings(variant, _kept_processes(size_limit), size_limit))
+    return tuple(_free_wirings(variant, _processes(size_limit), size_limit))
 
 
 def _check_additivity(
@@ -329,10 +323,11 @@ def check_measure(
     within the size limit, so the other conditions look their values up.
     The processes and their unions carry their fiber counts, memoized for
     the built-in count measures.  What does not depend on ``mu`` is built
-    once per size limit, and once per variant for the wirings, and kept for
-    the rest of the run at size limits up to 3: the processes, their unions
-    and each free wiring as a row of process indices.  Above that each
-    screen builds them one at a time, and the streamed unions carry their
+    once per size limit, and once per variant for the wirings: the
+    processes, kept for the last eight size limits, and at size limits up
+    to 3 their unions and each free wiring as a row of process indices,
+    kept for the rest of the run.  Above that each screen streams the
+    unions and wirings one at a time, and the streamed unions carry their
     counts too.
 
     A union whose value equals the sum of its parts' values passes
@@ -344,7 +339,7 @@ def check_measure(
     """
     _check_size_limit(size_limit)
     _check_tolerance(tolerance)
-    funs = _screened_processes(size_limit)
+    funs = _processes(size_limit)
     if _keeps_tables(size_limit):
         unions = _kept_unions(size_limit)
         wirings = _kept_wirings(variant, size_limit)
@@ -392,7 +387,7 @@ def induce_monotone(
     if not report.passed:
         raise MeasureRejected(f"measure {mu.name} fails screening", report)
     classes: dict[Profile, tuple[FinFun, float]] = {}
-    for f in _screened_processes(size_limit):
+    for f in _processes(size_limit):
         form = normal_form(variant, f)
         value = mu.fn(f)
         if form in classes:
@@ -438,15 +433,14 @@ def check_complete_family(
 ) -> FamilyReport:
     """Test whether joint dominance of the measures coincides with ``decide``.
 
-    Each enumerated function's dense normal form and values are computed
-    once.  Functions with equal forms and equal values form a class, since
-    both ``decide`` and joint dominance see nothing else, and each ordered
-    pair of classes is compared once: the dense forms with ``_dominates``,
-    which ``tests/test_convert.py`` pins equal to the count-level test
-    :func:`decide` applies.  Classes are taken in the order of their first
-    members, so the first failing pair of classes gives the first failing
-    pair of functions in enumeration order, and that pair is the
-    counterexample.
+    Each enumerated function's normal form and values are computed once.
+    Functions with equal forms and equal values form a class, since both
+    ``decide`` and joint dominance see nothing else, and each ordered pair
+    of classes is compared once: their first members' fiber counts with
+    ``_converts``, the test :func:`decide` applies.  Classes are taken in
+    the order of their first members, so the first failing pair of classes
+    gives the first failing pair of functions in enumeration order, and
+    that pair is the counterexample.
 
     Every member must individually pass :func:`check_measure` on every call;
     a member that does not is rejected up front rather than reported as
@@ -463,16 +457,15 @@ def check_complete_family(
                 f"family member {mu.name} fails screening", report
             )
     names = tuple(mu.name for mu in measures)
-    funs = _screened_processes(size_limit)
-    forms = [_dense_form(variant, f) for f in funs]
+    funs = _processes(size_limit)
     values = [tuple(mu.fn(f) for mu in measures) for f in funs]
     first: dict[tuple[tuple[int, ...], tuple[float, ...]], FinFun] = {}
-    for f, form, vf in zip(funs, forms, values):
-        first.setdefault((tuple(form), vf), f)
-    rows = [(f, form, vf, tuple(b - tolerance for b in vf)) for (form, vf), f in first.items()]
-    for (f, ff, vf, _), (g, fg, _, lg) in itertools.product(rows, repeat=2):
+    for f, vf in zip(funs, values):
+        first.setdefault((tuple(_form(variant, list(f._counts))), vf), f)
+    rows = [(f, vf, tuple(b - tolerance for b in vf)) for (_, vf), f in first.items()]
+    for (f, vf, _), (g, _, lg) in itertools.product(rows, repeat=2):
         dominates = all(map(operator.ge, vf, lg))
-        if _dominates(ff, fg) == dominates:
+        if _converts(variant, f._counts, g._counts) == dominates:
             continue
         if dominates:
             note = "all measures dominate but f does not convert to g"

@@ -98,17 +98,17 @@ a negative one never.  Like the classes, the pruning reads only ``f``'s
 fiber partition and ``g``'s map and sizes, and the scan keeps nothing
 once a level is done.
 
-First candidates.  Every wiring the set theories yield passes those three
-tests, so the first one solves and the stream's first element decides the
-search.  The stream reads ``f`` and ``g`` only through ``f``'s fiber
+First candidates.  Every wiring the pruned scan keeps passes those three
+tests, so the first one solves and decides the search.  The set theories
+yield that one wiring alone, or nothing: the contract lets every later
+candidate go.  The scan reads ``f`` and ``g`` only through ``f``'s fiber
 classes, ``g``'s first-use pattern and ``cod(f) - cod(g)`` (``dom(f)``
 and ``dom(g)`` are the lengths of the first two), besides the bounds, so
-``convert._first_candidate`` caches its first element, or None, under
-exactly that key.  A search whose key was seen is one lookup: no level
-is walked and no wiring scanned, and the rest of the stream is built
-only if a caller pulls past its first element.  The cache keeps 4,096 entries,
-about 1 MiB; the 7,200 size <= 3 searches at bounds (3, 6, 6) share 630
-keys.  Since ``f + 1_0`` is ``f``, a witness at ``Z = 0`` pads nothing.
+``convert._first_candidate`` caches that wiring, or None, under exactly
+that key.  A search whose key was seen is one lookup: no level is walked
+and no wiring scanned.  The cache keeps 4,096 entries, about 1 MiB; the
+7,200 size <= 3 searches at bounds (3, 6, 6) share 630 keys.  Since
+``f + 1_0`` is ``f``, a witness at ``Z = 0`` pads nothing.
 
 Everything here also works for the relational theory over cartesian
 products, whose free morphisms are graphs of functions.  That theory orders
@@ -281,7 +281,9 @@ def preorder_table(
 
     The result is checked to be reflexive and transitively closed; bounds too
     tight to reproduce a composite conversion raise :class:`BoundsTooTightError`
-    rather than repair.
+    rather than repair.  ``later[i]`` has bit ``k`` set when ``ms[i]``
+    converts to ``ms[k]``, so each entry ``(a, b)`` is checked against every
+    ``c`` in one mask operation, and its least missing ``c`` is named.
     """
     ms = [
         m
@@ -289,21 +291,24 @@ def preorder_table(
         for y in range(size_limit + 1)
         for m in theory.morphisms(FinSet(x), FinSet(y))
     ]
+    index = {m: i for i, m in enumerate(ms)}
+    later = [0] * len(ms)
     table = set()
-    for fm in ms:
-        for gm in ms:
+    for i, fm in enumerate(ms):
+        for k, gm in enumerate(ms):
             if oracle_convertible(theory, fm, gm, bounds) is not None:
                 table.add((fm, gm))
+                later[i] |= 1 << k
     for m in ms:
         if (m, m) not in table:
             raise BoundsTooTightError(f"preorder table is not reflexive at {m!r}; widen bounds")
     for a, b in table:
-        for c in ms:
-            if (b, c) in table and (a, c) not in table:
-                raise BoundsTooTightError(
-                    f"preorder table is not transitive at {a!r} -> {b!r} -> {c!r}; "
-                    "widen bounds"
-                )
+        missing = later[index[b]] & ~later[index[a]]
+        if missing:
+            c = ms[(missing & -missing).bit_length() - 1]
+            raise BoundsTooTightError(
+                f"preorder table is not transitive at {a!r} -> {b!r} -> {c!r}; widen bounds"
+            )
     return frozenset(table)
 
 

@@ -23,7 +23,6 @@ UNBOUNDED = {
     "oracle.py:_fun_graphs": (
         "keyed by two sizes, which the relational plain scan keeps within its bounds"
     ),
-    "monotones.py:_kept_processes": "called only at size limits 0-3, where _keeps_tables holds",
     "monotones.py:_kept_unions": "called only at size limits 0-3, where _keeps_tables holds",
     "monotones.py:_kept_wirings": (
         "called only at size limits 0-3, where _keeps_tables holds, once per variant"

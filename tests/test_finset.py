@@ -141,7 +141,7 @@ def test_value_types_survive_copy_and_pickle(clone):
 
 def _kept_tables():
     """The processes and unions the monotone screen keeps at size limit 3, memo filled."""
-    return monotones._kept_processes(3) + monotones._kept_unions(3)
+    return monotones._processes(3) + monotones._kept_unions(3)
 
 
 @pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)

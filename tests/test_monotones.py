@@ -419,13 +419,13 @@ def test_measure_is_evaluated_once_per_process(monkeypatch):
         assert len(calls) == n + n * n == 60 + 3600
 
     forms = []
-    dense_form = monotones._dense_form
+    form = monotones._form
 
-    def counted_form(variant, f):
-        forms.append(f)
-        return dense_form(variant, f)
+    def counted_form(variant, counts):
+        forms.append(counts)
+        return form(variant, counts)
 
-    monkeypatch.setattr(monotones, "_dense_form", counted_form)
+    monkeypatch.setattr(monotones, "_form", counted_form)
     for variant in (BIJ, INJ):
         calls.clear()
         forms.clear()
@@ -464,7 +464,7 @@ def _by_window(f):
 
 
 def test_builtin_measures_keep_their_window_values_bit_for_bit():
-    kept = monotones._kept_processes(3) + monotones._kept_unions(3)
+    kept = monotones._processes(3) + monotones._kept_unions(3)
     fresh = [FinFun.from_map(f.map, f.cod.size) for f in kept]
     assert all(f._counts is not None for f in kept) and all(f._counts is None for f in fresh)
     # a count past 2**53, where a float sum of the tail would round: an
@@ -519,7 +519,7 @@ def _screens():
     return out
 
 
-KEPT_TABLES = (monotones._kept_processes, monotones._kept_unions, monotones._kept_wirings)
+KEPT_TABLES = (monotones._processes, monotones._kept_unions, monotones._kept_wirings)
 
 
 def _clear_kept_tables():
@@ -545,7 +545,8 @@ def test_kept_and_streamed_unions_screen_alike(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(monotones, "_KEPT_UNIONS", 0)
         streamed = _screens()
-    assert _kept_table_counts() == [0, 0, 0]
+    # the processes are kept either way
+    assert _kept_table_counts() == [4, 0, 0]
     assert streamed == kept
     # a change that alters both paths alike shows here
     assert hashlib.sha256("\n".join(kept).encode()).hexdigest() == SCREENS_SHA256
@@ -557,12 +558,13 @@ def test_kept_unions_stay_bounded(monkeypatch):
         m.setattr(monotones, "_KEPT_UNIONS", 3599)
         for variant in (BIJ, INJ):
             check_measure(variant, BUILTIN_MEASURES["phi_2"], 3)
-    assert _kept_table_counts() == [0, 0, 0]
+    assert _kept_table_counts() == [1, 0, 0]
 
+    _clear_kept_tables()  # so that the processes are built, and measured, below
     tracemalloc.start()
     try:
         tables = (
-            monotones._kept_processes(3),
+            monotones._processes(3),
             monotones._kept_unions(3),
             monotones._kept_wirings(BIJ, 3),
             monotones._kept_wirings(INJ, 3),
@@ -591,10 +593,11 @@ def test_streamed_unions_count_fibers_once_per_pair_of_part_counts(monkeypatch):
     monkeypatch.setattr(monotones, "size_counts", counting)
     for variant in (BIJ, INJ):
         counted.clear()
+        monotones._processes.cache_clear()  # so that the processes are counted again
         assert check_measure(variant, BUILTIN_MEASURES["phi_2"], 3).additivity.passed
         # once per process, then once per pair of part counts, not per union
         assert len(counted) == 60 + len(shapes) ** 2 < 60 + 60 * 60
-    assert _kept_table_counts() == [0, 0, 0]
+    assert _kept_table_counts() == [1, 0, 0]
 
     funs = monotones._processes(3)
     unions = list(monotones._unions(funs))

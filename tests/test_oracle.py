@@ -456,7 +456,7 @@ def test_pruned_scan_is_the_filtered_orbit_scan():
 
 
 def test_large_shapes_stream_in_the_cached_order():
-    # the stream after the cached first candidate is the filtered orbit
+    # the one candidate, cold and cached, is the first of the filtered orbit
     # scan, level by level, on a shape of 210 orbit-least wirings
     f, gs = _large_shape_patterns()
     classes = _fiber_classes(f.map)
@@ -474,8 +474,8 @@ def test_large_shapes_stream_in_the_cached_order():
                 scan = orbit_scan(variant, f, z, a, c)
                 expected += [(z, c, xi1) for xi1 in _solvable(scan, classes, z, a, want, limit)]
             _first_candidate.cache_clear()
-            assert list(variant.candidates(f, g, bounds)) == expected, (g, bounds)
-            assert list(variant.candidates(f, g, bounds)) == expected, (g, bounds)
+            assert list(variant.candidates(f, g, bounds)) == expected[:1], (g, bounds)
+            assert list(variant.candidates(f, g, bounds)) == expected[:1], (g, bounds)
             at_the_shape += sum(1 for z, c, _ in expected if (z, c) == (1, 3))
     assert at_the_shape > 10
     _first_candidate.cache_clear()
@@ -577,19 +577,18 @@ def test_huge_bounds_stream_their_levels():
     huge = SearchBounds(10**6, 10**6, 10**6)
     f, g = FinFun.from_map([0, 0, 1], 2), POINT
     reference = list(itertools.islice(reference_levels(TheoryVariant.SET_INJ, f, g, huge), 400))
-    _first_candidate.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
-        pulled = list(itertools.islice(TheoryVariant.SET_INJ.candidates(f, g, huge), 400))
+        levels = _scan_levels(
+            TheoryVariant.SET_INJ, f.dom.size - g.dom.size, f.cod.size - g.cod.size, *astuple(huge)
+        )
+        pulled = list(itertools.islice(levels, 400))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(pulled) == 400 and peak < 2**20
-    # the candidates come level by level, in the order of the plain scan
-    order = {level: k for k, level in enumerate(reference)}
-    ranks = [order[z, c] for z, c, _ in pulled]
-    assert ranks == sorted(ranks) and ranks[-1] > 100
+    # the levels come in the order of the plain scan, and none is held
+    assert pulled == reference and peak < 2**20
     _first_candidate.cache_clear()
     # the second pair's set-bij witness needs Z = 2, C = 2 and D = 1
     for g in (POINT, identity(FinSet(2))):
@@ -774,8 +773,12 @@ def test_preorder_table_size_one():
 
 def test_preorder_table_raises_on_tight_bounds():
     # bounds that admit two legs of a composite conversion but not the composite
-    with pytest.raises(RuntimeError, match="not transitive"):
+    with pytest.raises(RuntimeError) as exc:
         preorder_table(TheoryVariant.SET_BIJ, 2, SearchBounds(1, 2, 1))
+    assert str(exc.value) == (
+        "preorder table is not transitive at FinFun([0, 0]: 2 -> 2) -> FinFun([]: 0 -> 1) "
+        "-> FinFun([]: 0 -> 0); widen bounds"
+    )
 
 
 class NoDiscard(Wrapped):
