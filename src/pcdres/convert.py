@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -571,16 +571,22 @@ def representative(variant: TheoryVariant, form: Profile) -> FinFun:
 
 
 def _wiring(
-    F: FinFun, G: FinFun, F_sizes: list[int], G_sizes: list[int], descending: bool
+    F: FinFun,
+    G: FinFun,
+    F_buckets: list[list[int]],
+    G_buckets: list[list[int]],
+    descending: bool,
 ) -> tuple[FinFun, FinFun]:
     """``(xi1, xi2)`` with ``xi2 . F . xi1 = G``, matching fibers by size.
 
-    ``F = f + 1_Z`` and ``G = g + j`` are the padded pair, and ``F_sizes``
-    and ``G_sizes`` their fiber sizes, emptied once ordered to keep peak
-    memory down: pass copies to keep them.  ``xi2`` pairs the codomain
-    points of ``F`` and ``G`` in the order :func:`_by_size` gives, so ties
-    go to the lowest index.  ``xi1`` sends each input of ``G``, in order,
-    to the least unused input of ``F`` in the partner fiber.
+    ``F = f + 1_Z`` and ``G = g + j`` are the padded pair.  Bucket ``i`` of
+    ``F_buckets`` lists, ascending, the codomain points of ``F`` whose fibers
+    have ``i`` points, and ``G_buckets`` those of ``G``; both lists are
+    emptied once paired, to keep peak memory down.  ``xi2`` pairs the two
+    codomains bucket by bucket, from size 0 up or, with ``descending``, from
+    the largest size down, so ties go to the lowest index.  ``xi1`` sends
+    each input of ``G``, in order, to the least unused input of ``F`` in the
+    partner fiber.
 
     ``F``'s fibers are walked as chains of inputs: one reverse pass over
     ``F.map`` sets ``head[y]``, the least input of fiber ``y``, and
@@ -592,16 +598,17 @@ def _wiring(
     and a slot counter bumped once per input, a new ``int`` each time.
 
     No cursor runs past the end of its chain, because every fiber of ``G``
-    is paired with a fiber of ``F`` at least as large.  Both lists are
-    ordered the same way and ``decide`` holds.  Under set-bij the two
+    is paired with a fiber of ``F`` at least as large.  Both bucket lists
+    are read in the same order and ``decide`` holds.  Under set-bij the two
     multiplicity profiles are equal, so paired fibers have one size.  Under
     set-inj ``F``'s tail counts dominate ``G``'s at every index: at 0 the
     codomains have one size, at 1 ``Z`` makes up any shortfall in hit
     points, and from 2 on ``decide`` says so.  So the k-th largest fiber of
     ``F`` is at least the k-th largest of ``G``.
     """
-    f_order = _by_size(F_sizes, descending)
-    g_order = _by_size(G_sizes, descending)
+    if descending:
+        F_buckets.reverse()
+        G_buckets.reverse()
     head = [-1] * F.cod.size
     after = [-1] * F.dom.size
     for x, y in zip(range(F.dom.size - 1, -1, -1), reversed(F.map)):
@@ -609,10 +616,15 @@ def _wiring(
         head[y] = x
     xi2_map = [0] * F.cod.size
     cursor = [0] * G.cod.size  # the next input of b's partner fiber
+    f_order = itertools.chain.from_iterable(F_buckets)
+    g_order = itertools.chain.from_iterable(G_buckets)
     for y, b in zip(f_order, g_order):
         xi2_map[y] = b
         cursor[b] = head[y]
-    del f_order, g_order, head  # freed before the xi1 walk, to keep peak memory down
+    # freed before the xi1 walk, to keep peak memory down
+    F_buckets.clear()
+    G_buckets.clear()
+    del head
     xi1_map = []
     for b in G.map:
         x = cursor[b]
@@ -623,38 +635,46 @@ def _wiring(
     return xi1, xi2
 
 
-def _by_size(sizes: list[int], descending: bool) -> list[int]:
-    """The indices of ``sizes`` ordered by size, ties to the lowest index; empties ``sizes``.
-
-    One bucket pass: each size's bucket fills in ascending index order, and
-    ``descending`` reverses the order of the buckets, not their contents.
-    Only the sizes that occur get a bucket.
-    """
-    buckets: defaultdict[int, list[int]] = defaultdict(list)
-    for y, size in enumerate(sizes):
-        buckets[size].append(y)
-    sizes.clear()
-    order = sorted(buckets, reverse=descending)
-    return list(itertools.chain.from_iterable(map(buckets.__getitem__, order)))
-
-
 def _sizes_and_counts(f: FinFun) -> tuple[list[int] | None, list[int]]:
     """``f``'s fiber sizes and its :func:`size_counts`, from one pass over ``f.map``.
 
-    A codomain more than twice the domain is counted sparsely and its sizes
-    come back ``None``, so a request that fails the decision costs memory in
-    the domain only.  The dense count repeats the last lines of
-    :func:`size_counts` rather than moving them into a helper both call:
-    ``decide`` counts maps of a few points, and one more call per count
-    made the decide-sweep benchmark's median op 3-5 % slower.
+    Each input bumps its point's size ``s`` and ``tails[s]``, the number of
+    points with at least ``s`` preimages, appending ``tails[s]`` when ``s``
+    is a new largest size; ``tails[0]`` is the codomain size.  The counts
+    are the differences of consecutive tails, so the codomain is never read
+    a second time.  A codomain more than twice the domain is counted
+    sparsely by :func:`size_counts` and its sizes come back ``None``, so a
+    request that fails the decision costs memory in the domain only.
     """
     if f.cod.size > 2 * f.dom.size:
         return None, size_counts(f)
-    sizes = fiber_sizes(f)
-    counts = [0] * (max(sizes, default=-1) + 1)
-    for size in sizes:
-        counts[size] += 1
-    return sizes, counts
+    sizes = [0] * f.cod.size
+    tails = [f.cod.size] if f.cod.size else []
+    for y in f.map:
+        s = sizes[y] + 1
+        sizes[y] = s
+        try:
+            tails[s] += 1
+        except IndexError:  # s is a new largest size, one past the end
+            tails.append(1)
+    tails.append(0)
+    return sizes, [a - b for a, b in zip(tails, tails[1:])]
+
+
+def _buckets(f: FinFun, sizes: list[int] | None, top: int) -> list[list[int]]:
+    """``f``'s codomain points in ``top`` buckets: bucket ``i`` lists those of size ``i``.
+
+    Each bucket is ascending.  ``sizes`` is ``f``'s fiber sizes, emptied
+    once read, or ``None`` for a sparsely counted side, whose sizes are
+    listed here.  ``top`` must exceed every fiber size.
+    """
+    if sizes is None:
+        sizes = fiber_sizes(f)
+    buckets: list[list[int]] = [[] for _ in range(top)]
+    for y, size in enumerate(sizes):
+        buckets[size].append(y)
+    sizes.clear()
+    return buckets
 
 
 def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
@@ -664,11 +684,17 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
     ``f`` over ``g`` and ``Z`` supplies any missing singleton fibers.  With
     injections free, ``j`` is output-only: ``Z`` and ``cod(j)`` pad the two
     codomains to a common size and ``xi2`` matches fibers largest-first so
-    every fiber of ``g`` fits inside its donor.  Each side's fibers are
-    counted once: the sizes found for the decision are padded with those
-    of ``1_Z`` and ``j`` for :func:`_wiring`, which wires ``F = f + 1_Z``
-    to ``G = g + j``, built with the theory's ``pad`` and ``tensor``.  A
-    sparsely counted side lists its sizes only once the decision holds.
+    every fiber of ``g`` fits inside its donor.
+
+    Each side's fibers are counted once, by :func:`_sizes_and_counts`, so a
+    refused request costs those two counts and nothing more.  Only once the
+    decision holds are the two codomains put into buckets by fiber size (a
+    sparsely counted side lists its sizes first).  The points of ``Z`` and
+    ``cod(j)`` follow from the counts, so they join the buckets uncounted:
+    ``Z``'s at size 1 after ``f``'s points, and ``j``'s block by block in
+    the layout of :func:`realize_profile`.  :func:`_wiring` then wires
+    ``F = f + 1_Z`` to ``G = g + j``, built with the theory's ``pad`` and
+    ``tensor``.
     """
     (f_sizes, f_counts), (g_sizes, g_counts) = _sizes_and_counts(f), _sizes_and_counts(g)
     if not _converts(variant, f_counts, g_counts):
@@ -680,22 +706,25 @@ def witness(variant: TheoryVariant, f: FinFun, g: FinFun) -> Witness:
         # decide holds, so the surplus is negative only at index 1
         surplus = [a - b for a, b in itertools.zip_longest(f_counts, g_counts, fillvalue=0)]
         z = FinSet(max(0, -surplus[1]) if len(surplus) > 1 else 0)
-        j = realize_profile(Profile._trusted({i: n for i, n in enumerate(surplus) if n > 0}))
+        junk = {i: n for i, n in enumerate(surplus) if n > 0}
+        j = realize_profile(Profile._trusted(junk))
     else:
         # Z covers both the codomain gap and any shortfall in hit outputs;
         # cod(j) then balances the bijection between the padded codomains.
         hit_f, hit_g = sum(f_counts[1:]), sum(g_counts[1:])
         z = FinSet(max(0, g.cod.size - f.cod.size, hit_g - hit_f))
         j = FinFun._trusted(FinSet(0), FinSet(f.cod.size + z.size - g.cod.size), ())
-    if f_sizes is None:
-        f_sizes = fiber_sizes(f)
-    if g_sizes is None:
-        g_sizes = fiber_sizes(g)
-    f_sizes += [1] * z.size
-    g_sizes += fiber_sizes(j)
-    xi1, xi2 = _wiring(
-        variant.pad(f, z), variant.tensor(g, j), f_sizes, g_sizes, variant is TheoryVariant.SET_INJ
-    )
+        junk = {0: j.cod.size}
+    top = max(len(f_counts), len(g_counts), 2)  # exceeds every fiber size of F and G, and Z's 1
+    F_buckets, G_buckets = _buckets(f, f_sizes, top), _buckets(g, g_sizes, top)
+    # Z's points follow f's as fibers of size 1; j's follow g's in junk's blocks
+    F_buckets[1].extend(range(f.cod.size, f.cod.size + z.size))
+    start = g.cod.size
+    for size, n in junk.items():
+        G_buckets[size].extend(range(start, start + n))
+        start += n
+    F, G = variant.pad(f, z), variant.tensor(g, j)
+    xi1, xi2 = _wiring(F, G, F_buckets, G_buckets, variant is TheoryVariant.SET_INJ)
     return Witness(z, xi1, xi2, j)
 
 

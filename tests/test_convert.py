@@ -3,10 +3,11 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pcdres import (
     REL_TIMES_THEORY,
@@ -188,8 +189,8 @@ def test_decide_and_witness_count_fibers_once_per_side(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(convert, "size_counts", counted("size_counts", convert.size_counts))
-    monkeypatch.setattr(convert, "fiber_sizes", counted("fiber_sizes", convert.fiber_sizes))
+    for name in ("size_counts", "fiber_sizes", "_sizes_and_counts"):
+        monkeypatch.setattr(convert, name, counted(name, getattr(convert, name)))
     f = FinFun.from_map([0, 0, 1, 2], 4)
     g = FinFun.from_map([0, 1], 3)
     sparse = FinFun.from_map([0, 0, 1, 2], 9)  # cod > 2 * dom: counted from its hit points
@@ -198,30 +199,49 @@ def test_decide_and_witness_count_fibers_once_per_side(monkeypatch):
         assert decide(variant, f, g)
         assert calls == [("size_counts", 4, 4), ("size_counts", 2, 3)]
         calls.clear()
-        j = witness(variant, f, g).j
-        # one pass per side serves the decision and the wiring; then the small junk j
-        assert calls == [
-            ("fiber_sizes", 4, 4),
-            ("fiber_sizes", 2, 3),
-            ("fiber_sizes", j.dom.size, j.cod.size),
-        ]
+        witness(variant, f, g)
+        # a dense side is counted once, by the witness's own pass, for both
+        # the decision and the wiring; Z and the junk j are never counted
+        assert calls == [("_sizes_and_counts", 4, 4), ("_sizes_and_counts", 2, 3)]
         calls.clear()
         with pytest.raises(NotConvertibleError):
             witness(variant, g, f)
-        assert calls == [("fiber_sizes", 2, 3), ("fiber_sizes", 4, 4)]
+        assert calls == [("_sizes_and_counts", 2, 3), ("_sizes_and_counts", 4, 4)]
         calls.clear()
-        j = witness(variant, sparse, g).j
+        witness(variant, sparse, g)
         # the sparse side lists its fiber sizes only once the decision holds
         assert calls == [
+            ("_sizes_and_counts", 4, 9),
             ("size_counts", 4, 9),
-            ("fiber_sizes", 2, 3),
+            ("_sizes_and_counts", 2, 3),
             ("fiber_sizes", 4, 9),
-            ("fiber_sizes", j.dom.size, j.cod.size),
         ]
         calls.clear()
         with pytest.raises(NotConvertibleError):
             witness(variant, g, sparse)
-        assert calls == [("fiber_sizes", 2, 3), ("size_counts", 4, 9)]
+        assert calls == [
+            ("_sizes_and_counts", 2, 3),
+            ("_sizes_and_counts", 4, 9),
+            ("size_counts", 4, 9),
+        ]
+
+
+@st.composite
+def dense_functions(draw):
+    """Functions whose codomain is at most twice their domain, on up to 40 points."""
+    n = draw(st.integers(0, 40))
+    c = draw(st.integers(1 if n else 0, 2 * n))
+    return FinFun.from_map(draw(st.lists(st.integers(0, max(c - 1, 0)), min_size=n, max_size=n)), c)
+
+
+@settings(max_examples=300)
+@given(dense_functions())
+@example(FinFun.from_map([], 0))
+@example(FinFun.from_map([2] * 7, 5))  # one fiber holds every point
+@example(FinFun.from_map([0, 3, 3], 6))  # cod == 2 * dom, the sparse threshold
+@example(FinFun.from_map([0], 2))
+def test_witness_count_matches_fiber_sizes_and_size_counts(f):
+    assert convert._sizes_and_counts(f) == (fiber_sizes(f), size_counts(f))
 
 
 def test_bij_conversion_implies_inj_conversion():
@@ -566,6 +586,37 @@ def test_witness_bytes_are_pinned_at_scale(variant, digest):
     assert check_witness(variant, f, g, w)
     encoded = json.dumps(witness_to_dict(w), separators=(",", ":")).encode()
     assert hashlib.sha256(encoded).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "variant, digest",
+    [
+        (BIJ, "25794e0aebd32e002de45b3bf367f3de33d0896d2cd5fb2517fbf70a8ec31f23"),
+        (INJ, "71520ccab4f3518b39c43e1799afda543f25ccc1dc90a1bbf64d696797275278"),
+    ],
+)
+def test_sparse_witness_bytes_are_pinned_at_scale(variant, digest):
+    # 4,000 unhit points on each side put cod > 2 * dom, so both are counted sparsely
+    f, g = (FinFun.from_map(m.map, m.cod.size + 4000) for m in _surplus_pair(21, 2000))
+    assert f.cod.size > 2 * f.dom.size and g.cod.size > 2 * g.dom.size
+    w = witness(variant, f, g)
+    assert check_witness(variant, f, g, w)
+    encoded = json.dumps(witness_to_dict(w), separators=(",", ":")).encode()
+    assert hashlib.sha256(encoded).hexdigest() == digest
+
+
+@pytest.mark.parametrize("variant", [BIJ, INJ])
+def test_witness_peak_memory_at_scale(variant):
+    # 3.7 MiB (set-bij) and 3.3 MiB (set-inj) on maps of 25,000 and 20,000
+    # points; keeping the size buckets through the xi1 walk reads 4.1 MiB
+    f, g = _surplus_pair(20, 20_000)
+    tracemalloc.start()
+    try:
+        witness(variant, f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _swap(m, a, b):
